@@ -26,7 +26,7 @@ from dci_lab.dataset import (
     standardize,
     write_idx,
 )
-from dci_lab.neighbors import NeighborSet, euclidean_distance, knn, nearest_neighbors
+from dci_lab.neighbors import NeighborSet, knn, nearest_neighbors
 from dci_lab.dci import DciParams, GridSpec, dci_field, dci_score, dci_scores, weighted_distance
 from dci_lab.models import (
     EnsembleConfig,
@@ -68,7 +68,6 @@ __all__ = [
     "standardize",
     "write_idx",
     "NeighborSet",
-    "euclidean_distance",
     "knn",
     "nearest_neighbors",
     "DciParams",

@@ -201,15 +201,16 @@ class SelectionContext:
     """Everything a strategy may consult when ranking candidates.
 
     ``model_score`` maps candidate pool indices to uncertainties using the
-    model from the last update boundary; ``labelled`` and ``proj_labelled``
-    track the live labelled set, which impurity scoring follows point by
-    point.
+    model from the last update boundary; ``labelled``, ``labelled_features``
+    (``features[labelled]``) and ``proj_labelled`` track the live labelled
+    set, which impurity scoring follows point by point.
     """
 
     features: np.ndarray
     codes: np.ndarray
     n_classes: int
     labelled: np.ndarray
+    labelled_features: np.ndarray
     batch_size: int
     pca: PcaModel | None = None
     proj_labelled: np.ndarray | None = None
@@ -224,7 +225,7 @@ def _dci_candidate_scores(
         ref = ctx.proj_labelled
         query = pca_project(ctx.pca, ctx.features[candidates])
     else:
-        ref = ctx.features[ctx.labelled]
+        ref = ctx.labelled_features
         query = ctx.features[candidates]
     k_eff = min(params.k, ref.shape[0])
     idx, dist = nearest_neighbors(query, ref, k_eff)
@@ -328,8 +329,15 @@ def run_experiment(config: ExperimentConfig, seed: int) -> LearningCurve:
 
     perm = rng_split.permutation(ds.n_rows)
     test_idx = perm[: config.test_size]
-    labelled = list(perm[config.test_size : config.test_size + config.initial_train_size])
-    unlabelled = np.sort(perm[config.test_size + config.initial_train_size :])
+    # The labelled set lives in preallocated buffers that picks append to in
+    # place; selection reads views of their first n_lab rows.
+    n_lab = config.initial_train_size
+    n_final = n_lab + config.n_updates * config.additions_per_update
+    labelled = np.empty(n_final, dtype=np.intp)
+    labelled[:n_lab] = perm[config.test_size : config.test_size + n_lab]
+    lab_X = np.empty((n_final, ds.n_features))
+    lab_X[:n_lab] = ds.features[labelled[:n_lab]]
+    unlabelled = np.sort(perm[config.test_size + n_lab :])
 
     codes, n_classes = _class_codes(ds)
     test_X = ds.features[test_idx]
@@ -339,15 +347,17 @@ def run_experiment(config: ExperimentConfig, seed: int) -> LearningCurve:
 
     points: list[tuple[int, float]] = []
     for update in range(config.n_updates + 1):
-        labelled_arr = np.asarray(labelled, dtype=np.intp)
-        boundary = _BoundaryModel(config, ds.select_rows(labelled_arr), _model_seed(seed, update))
+        boundary = _BoundaryModel(
+            config, ds.select_rows(labelled[:n_lab]), _model_seed(seed, update)
+        )
         pca = None
         proj = None
         if use_pca:
-            n_comp = min(strategy.pca_components, len(labelled), ds.n_features)
-            pca = pca_fit(ds.features[labelled_arr], n_comp)
-            proj = pca_project(pca, ds.features[labelled_arr])
-        points.append((len(labelled), boundary.evaluate(test_X, test_y)))
+            n_comp = min(strategy.pca_components, n_lab, ds.n_features)
+            pca = pca_fit(lab_X[:n_lab], n_comp)
+            proj = np.empty((n_final, n_comp))
+            proj[:n_lab] = pca_project(pca, lab_X[:n_lab])
+        points.append((n_lab, boundary.evaluate(test_X, test_y)))
         if update == config.n_updates:
             break
         for _ in range(config.additions_per_update):
@@ -355,19 +365,22 @@ def run_experiment(config: ExperimentConfig, seed: int) -> LearningCurve:
                 features=ds.features,
                 codes=codes,
                 n_classes=n_classes,
-                labelled=np.asarray(labelled, dtype=np.intp),
+                labelled=labelled[:n_lab],
+                labelled_features=lab_X[:n_lab],
                 batch_size=config.candidate_batch_size,
                 pca=pca,
-                proj_labelled=proj,
+                proj_labelled=None if proj is None else proj[:n_lab],
                 model_score=(lambda cands: boundary.uncertainty(ds.features[cands]))
                 if strategy.tag == MODEL_UNCERTAINTY
                 else None,
             )
             pick = select_next(unlabelled, strategy, ctx, rng_select)
-            labelled.append(pick)
-            unlabelled = np.delete(unlabelled, np.searchsorted(unlabelled, pick))
+            labelled[n_lab] = pick
+            lab_X[n_lab] = ds.features[pick]
             if use_pca:
-                proj = np.vstack([proj, pca_project(pca, ds.features[pick][None, :])])
+                proj[n_lab] = pca_project(pca, lab_X[n_lab : n_lab + 1])[0]
+            n_lab += 1
+            unlabelled = np.delete(unlabelled, np.searchsorted(unlabelled, pick))
 
     return LearningCurve(
         points=tuple(points), seed=seed, strategy=strategy.label, metric=config.metric

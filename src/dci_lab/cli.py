@@ -179,6 +179,9 @@ def _read_query_matrix(path: str, n_features: int) -> np.ndarray:
             out[i] = [float(c) for c in record]
         except ValueError:
             raise DataError(f"{path}: non-numeric value in query row {i + 1}") from None
+    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
+    if bad.size:
+        raise DataError(f"{path}: non-finite value in query row {bad[0] + 1}")
     return out
 
 

@@ -8,6 +8,7 @@ distances downstream are always measured on the encoded, standardized matrix.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -272,12 +273,18 @@ def load_csv(
                 cell = cells[i]
                 if spec.kind == KIND_NUMERIC:
                     try:
-                        row.append(float(cell))
+                        value = float(cell)
                     except ValueError:
                         raise DataError(
                             f"{path}:{lineno}: non-numeric token {cell!r} "
                             f"in numeric column {spec.name!r}"
                         ) from None
+                    if not math.isfinite(value):
+                        raise DataError(
+                            f"{path}:{lineno}: non-finite value {cell!r} "
+                            f"in numeric column {spec.name!r}"
+                        )
+                    row.append(value)
                 else:
                     cmap = cat_maps.setdefault(spec.name, {})
                     if cell not in cmap:
@@ -291,11 +298,14 @@ def load_csv(
             cell = cells[label_pos]
             if label_kind == KIND_LABEL_NUMERIC:
                 try:
-                    lab_rows.append(float(cell))
+                    value = float(cell)
                 except ValueError:
                     raise DataError(
                         f"{path}:{lineno}: non-numeric token {cell!r} in label column"
                     ) from None
+                if not math.isfinite(value):
+                    raise DataError(f"{path}:{lineno}: non-finite value {cell!r} in label column")
+                lab_rows.append(value)
             else:
                 if cell not in label_map:
                     if frozen_labels:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import DataError, Dataset
 from .neighbors import NeighborSet, nearest_neighbors
 
 DEFAULT_EPSILON = 1e-12
@@ -116,6 +116,8 @@ def dci_scores(
         raise ValueError("n_classes must be at least 1")
     if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError("neighbour label out of range")
+    if not np.isfinite(dists).all():
+        raise DataError("neighbour distances must be finite")
     if np.any(dists < 0):
         raise ValueError("distances must be non-negative")
 

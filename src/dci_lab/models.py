@@ -355,7 +355,7 @@ def knn_predict(
     single = query.ndim == 1
     nbrs = knn(pool, query[None, :] if single else query, k)
     if pool.is_classification:
-        counts = np.stack([np.bincount(v, minlength=pool.class_count) for v in nbrs.labels])
+        counts = (nbrs.labels[:, :, None] == np.arange(pool.class_count)).sum(axis=1)
         probs = counts / nbrs.k
         return probs[0] if single else probs
     means = nbrs.labels.mean(axis=1)

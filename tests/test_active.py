@@ -138,6 +138,7 @@ def boundary_context(batch_size=50):
         codes=codes,
         n_classes=2,
         labelled=np.array([0, 1, 2, 3]),
+        labelled_features=features[:4],
         batch_size=batch_size,
     )
 

@@ -68,6 +68,17 @@ class TestScore:
         assert main(["score", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_query_is_a_data_error(self, tmp_path, capsys, bad):
+        qpath = tmp_path / "q.csv"
+        qpath.write_text(f"x,y\n0.1,0.2\n{bad},0.3\n")
+        cfg = write_cfg(
+            tmp_path / "c.cfg", **base_pairs(**{"score.query": str(qpath)})
+        )
+        assert main(["score", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "non-finite value in query row 2" in capsys.readouterr().err
+        assert not (tmp_path / "scores.csv").exists()
+
 
 class TestGrid:
     def test_writes_field_and_reruns_identically(self, tmp_path):
@@ -251,3 +262,25 @@ class TestErrorPaths:
             },
         )
         assert main(["score", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_pool_cell_is_a_data_error(self, tmp_path, capsys, bad):
+        spec = tmp_path / "c.spec"
+        spec.write_text("x = numeric\ny = label_class\n")
+        data = tmp_path / "d.csv"
+        data.write_text(f"x,y\n0.5,a\n{bad},b\n1.5,a\n")
+        qpath = tmp_path / "q.csv"
+        qpath.write_text("x\n0.7\n")
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            **{
+                "data.source": "csv",
+                "data.csv": str(data),
+                "data.colspec": str(spec),
+                "score.query": str(qpath),
+                "dci.k": "2",
+            },
+        )
+        assert main(["score", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert f"d.csv:3: non-finite value '{bad}'" in capsys.readouterr().err
+        assert not (tmp_path / "scores.csv").exists()

@@ -169,6 +169,8 @@ class TestLoadCsv:
             "age,job,income\n30,clerk\n",  # short record
             "age,job,income\nthirty,clerk,low\n",  # non-numeric token
             "age,job,income\n?,clerk,low\n",  # all rows dropped
+            "age,job,income\nnan,clerk,low\n",  # non-finite numeric cell
+            "age,job,income\n-inf,clerk,low\n",  # non-finite numeric cell
         ],
     )
     def test_rejects_malformed(self, tmp_path, body):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_classification
+from dci_lab.dataset import DataError
 from dci_lab.dci import (
     DciParams,
     GridSpec,
@@ -135,6 +136,11 @@ class TestDciScores:
             dci_scores(good_l[0], good_d[0], 2)
         with pytest.raises(ValueError):
             dci_scores(good_l, good_d, 0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_distances_are_a_data_error(self, bad):
+        with pytest.raises(DataError):
+            dci_scores(np.array([[0, 1]]), np.array([[1.0, bad]]), 2)
 
 
 class TestDciScore:
