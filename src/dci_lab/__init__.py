@@ -27,7 +27,7 @@ from dci_lab.dataset import (
     write_idx,
 )
 from dci_lab.neighbors import NeighborSet, knn, nearest_neighbors
-from dci_lab.dci import DciParams, GridSpec, dci_field, dci_score, dci_scores, weighted_distance
+from dci_lab.dci import DciParams, GridSpec, dci_field, dci_score, dci_scores
 from dci_lab.models import (
     EnsembleConfig,
     EnsemblePrediction,
@@ -75,7 +75,6 @@ __all__ = [
     "dci_field",
     "dci_score",
     "dci_scores",
-    "weighted_distance",
     "EnsembleConfig",
     "EnsemblePrediction",
     "TreeEnsemble",

@@ -24,15 +24,12 @@ from .metrics import accuracy, auroc, rmse
 from .neighbors import nearest_neighbors
 from .models import (
     CLASSIFICATION,
+    UNCERTAINTY,
     EnsembleConfig,
     EnsemblePrediction,
-    ensemble_binary_uncertainty,
     fit_ensemble,
     knn_predict,
-    max_prob_uncertainty,
-    mean_std_uncertainty,
     predict,
-    regression_std_uncertainty,
 )
 
 RANDOM = "random"
@@ -41,7 +38,6 @@ DCI_LOW = "dci-low"
 MODEL_UNCERTAINTY = "model-uncertainty"
 STRATEGY_TAGS = (RANDOM, DCI_HIGH, DCI_LOW, MODEL_UNCERTAINTY)
 
-UNCERTAINTY_KINDS = ("eq3_binary", "regression_std", "max_prob", "mean_std")
 METRICS = ("auroc", "accuracy", "rmse")
 
 # Sub-stream constants separating the experiment's RNG consumers.
@@ -56,14 +52,13 @@ class Strategy:
 
     ``kind`` names the model-uncertainty formula and is present exactly for
     the model-uncertainty tag; ``dci_params`` is present exactly for the
-    impurity tags, which may also score in a PCA feature space refit at
-    each model update.
+    impurity tags, which score in a PCA feature space refit at each model
+    update when ``pca_components`` is positive.
     """
 
     tag: str
     kind: str | None = None
     dci_params: DciParams | None = None
-    feature_space: str = "raw"
     pca_components: int = 0
 
     def __post_init__(self) -> None:
@@ -71,23 +66,20 @@ class Strategy:
             raise ValueError(f"unknown strategy tag {self.tag!r}")
         if (self.kind is not None) != (self.tag == MODEL_UNCERTAINTY):
             raise ValueError("kind is required for model-uncertainty and only there")
-        if self.kind is not None and self.kind not in UNCERTAINTY_KINDS:
+        if self.kind is not None and self.kind not in UNCERTAINTY:
             raise ValueError(f"unknown uncertainty kind {self.kind!r}")
         if (self.dci_params is not None) != (self.tag in (DCI_HIGH, DCI_LOW)):
             raise ValueError("dci_params is required for dci strategies and only there")
-        if self.feature_space not in ("raw", "pca"):
-            raise ValueError(f"unknown feature space {self.feature_space!r}")
-        if self.feature_space == "pca":
-            if self.tag not in (DCI_HIGH, DCI_LOW):
-                raise ValueError("pca feature space applies to dci strategies only")
-            if self.pca_components < 1:
-                raise ValueError("pca feature space needs pca_components >= 1")
+        if self.pca_components < 0:
+            raise ValueError("pca_components must be non-negative")
+        if self.pca_components and self.tag not in (DCI_HIGH, DCI_LOW):
+            raise ValueError("pca feature space applies to dci strategies only")
 
     @property
     def label(self) -> str:
         if self.tag == MODEL_UNCERTAINTY:
             return f"uncertainty-{self.kind}"
-        if self.tag in (DCI_HIGH, DCI_LOW) and self.feature_space == "pca":
+        if self.pca_components:
             return f"{self.tag}-pca{self.pca_components}"
         return self.tag
 
@@ -105,8 +97,31 @@ class ModelConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("ensemble", "knn"):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.n_trees < 1 or self.min_leaf < 1 or self.knn_k < 1:
-            raise ValueError("model counts must be positive")
+        if self.knn_k < 1:
+            raise ValueError("knn_k must be at least 1")
+        self.ensemble(0)  # EnsembleConfig checks the tree fields
+
+    def ensemble(self, seed: int) -> EnsembleConfig:
+        """The bagging settings of this model, seeded for one fit."""
+        return EnsembleConfig(
+            n_trees=self.n_trees, max_depth=self.max_depth, min_leaf=self.min_leaf, seed=seed
+        )
+
+
+def check_uncertainty(kind: str, ds: Dataset, model: ModelConfig) -> None:
+    """Raise ValueError unless uncertainty ``kind`` fits the label and the model."""
+    if kind not in UNCERTAINTY:
+        raise ValueError(f"unknown uncertainty kind {kind!r}")
+    if kind == "eq3_binary" and (not ds.is_classification or ds.class_count != 2):
+        raise ValueError("eq3_binary requires a binary class label")
+    if kind == "regression_std" and ds.is_classification:
+        raise ValueError("regression_std requires a numeric label")
+    if kind in ("max_prob", "mean_std") and not ds.is_classification:
+        raise ValueError(f"{kind} requires a class label")
+    if kind in ("eq3_binary", "regression_std", "mean_std") and model.kind != "ensemble":
+        raise ValueError(f"{kind} requires the ensemble model")
+    if kind == "mean_std" and model.n_trees < 2:
+        raise ValueError("mean_std requires at least 2 ensemble members")
 
 
 @dataclass(frozen=True)
@@ -144,18 +159,8 @@ class ExperimentConfig:
             raise ValueError(f"{self.metric} requires a class label")
         if self.metric == "auroc" and ds.class_count != 2:
             raise ValueError("auroc requires a binary label")
-        s = self.strategy
-        if s.tag == MODEL_UNCERTAINTY:
-            if s.kind == "eq3_binary" and (not ds.is_classification or ds.class_count != 2):
-                raise ValueError("eq3_binary requires a binary class label")
-            if s.kind == "regression_std" and ds.is_classification:
-                raise ValueError("regression_std requires a numeric label")
-            if s.kind in ("max_prob", "mean_std") and not ds.is_classification:
-                raise ValueError(f"{s.kind} requires a class label")
-            if s.kind in ("eq3_binary", "regression_std", "mean_std") and self.model.kind != "ensemble":
-                raise ValueError(f"{s.kind} requires the ensemble model")
-            if s.kind == "mean_std" and self.model.n_trees < 2:
-                raise ValueError("mean_std requires at least 2 ensemble members")
+        if self.strategy.tag == MODEL_UNCERTAINTY:
+            check_uncertainty(self.strategy.kind, ds, self.model)
 
     @property
     def task(self) -> str:
@@ -221,14 +226,13 @@ def _dci_candidate_scores(
     ctx: SelectionContext, strategy: Strategy, candidates: np.ndarray
 ) -> np.ndarray:
     params = strategy.dci_params
-    if strategy.feature_space == "pca":
+    if strategy.pca_components:
         ref = ctx.proj_labelled
         query = pca_project(ctx.pca, ctx.features[candidates])
     else:
         ref = ctx.labelled_features
         query = ctx.features[candidates]
-    k_eff = min(params.k, ref.shape[0])
-    idx, dist = nearest_neighbors(query, ref, k_eff)
+    idx, dist = nearest_neighbors(query, ref, params.k)
     return dci_scores(ctx.codes[ctx.labelled][idx], dist, ctx.n_classes, params)
 
 
@@ -271,15 +275,7 @@ class _BoundaryModel:
         self.config = config
         self.train = train
         if config.model.kind == "ensemble":
-            self.ensemble = fit_ensemble(
-                train,
-                EnsembleConfig(
-                    n_trees=config.model.n_trees,
-                    max_depth=config.model.max_depth,
-                    min_leaf=config.model.min_leaf,
-                    seed=seed,
-                ),
-            )
+            self.ensemble = fit_ensemble(train, config.model.ensemble(seed))
         else:
             self.ensemble = None
 
@@ -293,14 +289,7 @@ class _BoundaryModel:
 
     def uncertainty(self, X: np.ndarray) -> np.ndarray:
         pred = self._predict(X)
-        kind = self.config.strategy.kind
-        fn = {
-            "eq3_binary": ensemble_binary_uncertainty,
-            "regression_std": regression_std_uncertainty,
-            "max_prob": max_prob_uncertainty,
-            "mean_std": mean_std_uncertainty,
-        }[kind]
-        return np.asarray(fn(pred), dtype=np.float64)
+        return np.asarray(UNCERTAINTY[self.config.strategy.kind](pred), dtype=np.float64)
 
     def evaluate(self, test_X: np.ndarray, test_y: np.ndarray) -> float:
         pred = self._predict(test_X)
@@ -310,15 +299,6 @@ class _BoundaryModel:
         if metric == "auroc":
             return auroc(pred.aggregate[:, 1], test_y)
         return accuracy(pred.aggregate.argmax(axis=1), test_y)
-
-
-def _class_codes(ds: Dataset) -> tuple[np.ndarray, int]:
-    # Impurity scoring always needs class ids; for a numeric label the
-    # distinct values over the whole dataset act as the classes.
-    if ds.is_classification:
-        return ds.labels, ds.class_count
-    uniques, codes = np.unique(ds.labels, return_inverse=True)
-    return codes.astype(np.int64), len(uniques)
 
 
 def run_experiment(config: ExperimentConfig, seed: int) -> LearningCurve:
@@ -339,11 +319,13 @@ def run_experiment(config: ExperimentConfig, seed: int) -> LearningCurve:
     lab_X[:n_lab] = ds.features[labelled[:n_lab]]
     unlabelled = np.sort(perm[config.test_size + n_lab :])
 
-    codes, n_classes = _class_codes(ds)
+    # Impurity scoring always needs class ids; for a numeric label the
+    # distinct values over the whole dataset act as the classes.
+    codes, n_classes = ds.class_codes
     test_X = ds.features[test_idx]
     test_y = ds.labels[test_idx]
     strategy = config.strategy
-    use_pca = strategy.feature_space == "pca"
+    use_pca = strategy.pca_components > 0
 
     points: list[tuple[int, float]] = []
     for update in range(config.n_updates + 1):
@@ -397,7 +379,9 @@ def run_many(
     """n_seeds independent experiments with seeds base_seed, base_seed+1, ..."""
     seeds = [base_seed + i for i in range(config.n_seeds)]
     if threads > 1 and len(seeds) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # Never more workers than seeds: with the fork start method the pool
+        # forks every worker up front, whether or not it gets a task.
+        with ProcessPoolExecutor(max_workers=min(threads, len(seeds))) as pool:
             return list(pool.map(_run_one, [(config, s) for s in seeds]))
     return [run_experiment(config, s) for s in seeds]
 

@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ from .active import (
     ExperimentConfig,
     LearningCurve,
     aggregate,
+    check_uncertainty,
     run_many,
     write_curves_csv,
     write_summary_csv,
@@ -50,27 +51,12 @@ from .dataset import (
 )
 from .dci import dci_scores, dci_field, write_field_csv
 from .metrics import average_reports, decile_analysis, write_decile_csv
-from .models import (
-    EnsembleConfig,
-    ensemble_binary_uncertainty,
-    fit_ensemble,
-    max_prob_uncertainty,
-    mean_std_uncertainty,
-    predict,
-    regression_std_uncertainty,
-)
+from .models import UNCERTAINTY, fit_ensemble, predict
 from .neighbors import nearest_neighbors
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
-
-_UNCERTAINTY_FNS = {
-    "eq3_binary": ensemble_binary_uncertainty,
-    "regression_std": regression_std_uncertainty,
-    "max_prob": max_prob_uncertainty,
-    "mean_std": mean_std_uncertainty,
-}
 
 
 @dataclass(frozen=True)
@@ -151,13 +137,6 @@ def prepare_dataset(cfg: Cfg) -> tuple[Dataset, tuple[np.ndarray, np.ndarray] | 
     return ds, stats
 
 
-def _class_codes(ds: Dataset) -> tuple[np.ndarray, int]:
-    if ds.is_classification:
-        return ds.labels, ds.class_count
-    uniques, codes = np.unique(ds.labels, return_inverse=True)
-    return codes.astype(np.int64), len(uniques)
-
-
 def _read_query_matrix(path: str, n_features: int) -> np.ndarray:
     """A numeric CSV (header line first) in the pool's encoded feature space."""
     try:
@@ -194,8 +173,8 @@ def cmd_score(cfg: Cfg, out_dir: Path) -> None:
         Q = (Q - mean) * inv
     lines = ["dci"]
     if Q.shape[0]:
-        codes, n_classes = _class_codes(ds)
-        idx, dist = nearest_neighbors(Q, ds.features, min(params.k, ds.n_rows))
+        codes, n_classes = ds.class_codes
+        idx, dist = nearest_neighbors(Q, ds.features, params.k)
         scores = dci_scores(codes[idx], dist, n_classes, params)
         lines += [format(s + 0.0, ".9g") for s in scores]
     (out_dir / "scores.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -266,20 +245,24 @@ def cmd_analyze(cfg: Cfg, out_dir: Path, seed: int) -> None:
     alphas = cfg.floats("analyze.alphas", "1.0,1.5,2.0")
     betas = cfg.floats("analyze.betas", "1.2")
     kinds = cfg.list("analyze.kinds", "max_prob")
-    for kind in kinds:
-        if kind not in _UNCERTAINTY_FNS:
-            raise ConfigError(f"unknown uncertainty kind {kind!r}")
-        if kind == "regression_std":
-            raise ConfigError("regression_std does not apply to a class label")
-        if kind == "eq3_binary" and ds.class_count != 2:
-            raise ConfigError("eq3_binary needs a binary label")
+    if not train_sizes or min(train_sizes) < 1:
+        raise ConfigError("analyze.train_sizes must list sizes of at least 1")
+    if n_splits < 1:
+        raise ConfigError("analyze.n_splits must be at least 1")
+    if test_size < 0:
+        raise ConfigError("analyze.test_size must be non-negative")
     base = build_dci_params(cfg)
-    dci_cells = [
-        (f"dci-a{format(a, 'g')}-b{format(b, 'g')}",
-         type(base)(k=base.k, alpha=a, beta=b, epsilon=base.epsilon))
-        for a in alphas
-        for b in betas
-    ]
+    try:
+        for kind in kinds:
+            check_uncertainty(kind, ds, model)
+        dci_cells = [
+            (f"dci-a{format(a, 'g')}-b{format(b, 'g')}",
+             replace(base, alpha=a, beta=b))
+            for a in alphas
+            for b in betas
+        ]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     max_size = max(train_sizes)
     if max_size + max(test_size, 10) > ds.n_rows:
         raise ConfigError("train sizes plus test size exceed the pool")
@@ -294,23 +277,13 @@ def cmd_analyze(cfg: Cfg, out_dir: Path, seed: int) -> None:
             end = size + test_size if test_size else ds.n_rows
             test_idx = perm[size:end]
             train_ds = ds.select_rows(train_idx)
-            ens = fit_ensemble(
-                train_ds,
-                EnsembleConfig(
-                    n_trees=model.n_trees,
-                    max_depth=model.max_depth,
-                    min_leaf=model.min_leaf,
-                    seed=_analyze_seed(seed, split),
-                ),
-            )
+            ens = fit_ensemble(train_ds, model.ensemble(_analyze_seed(seed, split)))
             pred = predict(ens, ds.features[test_idx])
             correct = (pred.aggregate.argmax(axis=1) == ds.labels[test_idx]).astype(np.int64)
             for kind in kinds:
-                u = np.asarray(_UNCERTAINTY_FNS[kind](pred), dtype=np.float64)
+                u = np.asarray(UNCERTAINTY[kind](pred), dtype=np.float64)
                 reports[kind].append(decile_analysis(u, correct))
-            idx, dist = nearest_neighbors(
-                ds.features[test_idx], train_ds.features, min(base.k, size)
-            )
+            idx, dist = nearest_neighbors(ds.features[test_idx], train_ds.features, base.k)
             nbr_labels = train_ds.labels[idx]
             for label, params in dci_cells:
                 u = dci_scores(nbr_labels, dist, ds.class_count, params)

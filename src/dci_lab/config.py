@@ -224,9 +224,6 @@ class Cfg:
     def __init__(self, values: dict[str, str]):
         self.values = values
 
-    def has(self, key: str) -> bool:
-        return key in self.values
-
     def str(self, key: str, default: str | None = None, choices: tuple[str, ...] | None = None) -> str:
         if key not in self.values:
             if default is None:
@@ -334,7 +331,7 @@ def build_grid(cfg: Cfg) -> GridSpec:
         raise ConfigError(str(exc)) from exc
 
 
-_PCA_LABEL = re.compile(r"^(dci-high|dci-low)-pca(\d+)$")
+_PCA_LABEL = re.compile(r"^(dci-high|dci-low)-pca([1-9]\d*)$")
 
 
 def parse_strategy(label: str, dci_params: DciParams) -> Strategy:
@@ -349,7 +346,6 @@ def parse_strategy(label: str, dci_params: DciParams) -> Strategy:
             return Strategy(
                 tag=m.group(1),
                 dci_params=dci_params,
-                feature_space="pca",
                 pca_components=int(m.group(2)),
             )
         if label.startswith("uncertainty-"):

@@ -137,6 +137,17 @@ class Dataset:
             raise ValueError("dataset has a numeric label, not classes")
         return len(self.class_names)
 
+    @property
+    def class_codes(self) -> tuple[np.ndarray, int]:
+        """(class id per row, number of classes) for impurity scoring.
+
+        A numeric label is coded by its distinct values, in ascending order.
+        """
+        if self.is_classification:
+            return self.labels, self.class_count
+        uniques, codes = np.unique(self.labels, return_inverse=True)
+        return codes.astype(np.int64), len(uniques)
+
     def select_rows(self, rows: Sequence[int] | np.ndarray) -> "Dataset":
         """A new dataset restricted to the given rows (order preserved)."""
         rows = np.asarray(rows, dtype=np.intp)
@@ -520,32 +531,26 @@ def pca_fit(X: np.ndarray, n_components: int) -> PcaModel:
         raise ValueError("n_components must be in [1, min(rows, cols)]")
     mean = X.mean(axis=0)
     centered = X - mean
-    if d <= max(n, 128):
-        cov = centered.T @ centered / n
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        order = np.argsort(eigvals, kind="stable")[::-1]
-        eigvals = np.clip(eigvals[order], 0.0, None)
-        eigvecs = eigvecs[:, order]
-        total = eigvals.sum()
-        rank = int((eigvals > max(total, 1.0) * 1e-12).sum())
-        components = eigvecs[:, :n_components].T.copy()
-    else:
-        # Wide data: the n x n Gram matrix has the same nonzero spectrum as
-        # the d x d covariance and is far cheaper to decompose. Covariance
-        # eigenvectors are recovered as X^T u / ||X^T u||; directions past
-        # the rank get zero rows, which project to zero anyway because
-        # their variance ratios are zero.
-        gram = centered @ centered.T / n
-        eigvals, eigvecs = np.linalg.eigh(gram)
-        order = np.argsort(eigvals, kind="stable")[::-1]
-        eigvals = np.clip(eigvals[order], 0.0, None)
-        eigvecs = eigvecs[:, order]
-        total = eigvals.sum()
-        rank = int((eigvals > max(total, 1.0) * 1e-12).sum())
+    # Wide data: the n x n Gram matrix has the same nonzero spectrum as the
+    # d x d covariance and is far cheaper to decompose. Covariance
+    # eigenvectors are recovered as X^T u / ||X^T u||; directions past the
+    # rank get zero rows, which project to zero anyway because their
+    # variance ratios are zero.
+    wide = d > max(n, 128)
+    gram = centered @ centered.T if wide else centered.T @ centered
+    eigvals, eigvecs = np.linalg.eigh(gram / n)
+    order = np.argsort(eigvals, kind="stable")[::-1]
+    eigvals = np.clip(eigvals[order], 0.0, None)
+    eigvecs = eigvecs[:, order]
+    total = eigvals.sum()
+    rank = int((eigvals > max(total, 1.0) * 1e-12).sum())
+    if wide:
         components = np.zeros((n_components, d))
         for j in range(min(n_components, rank)):
             v = centered.T @ eigvecs[:, j]
             components[j] = v / np.linalg.norm(v)
+    else:
+        components = eigvecs[:, :n_components].T.copy()
     for row in components:
         pivot = np.argmax(np.abs(row))
         if row[pivot] < 0:

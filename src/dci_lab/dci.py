@@ -81,17 +81,6 @@ class GridSpec:
         return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-def weighted_distance(
-    d: float | np.ndarray, params: DciParams = DciParams()
-) -> float | np.ndarray:
-    """d^alpha + epsilon, elementwise; strictly positive for d >= 0."""
-    d = np.asarray(d, dtype=np.float64)
-    if np.any(d < 0):
-        raise ValueError("distances must be non-negative")
-    out = d**params.alpha + params.epsilon
-    return float(out) if out.ndim == 0 else out
-
-
 def dci_scores(
     neighbor_labels: np.ndarray,
     neighbor_distances: np.ndarray,
@@ -175,14 +164,9 @@ def dci_field(
     """
     if pool.n_features != 2:
         raise ValueError("field evaluation expects a 2-d pool")
-    if pool.is_classification:
-        codes, n_classes = pool.labels, pool.class_count
-    else:
-        uniques, codes = np.unique(pool.labels, return_inverse=True)
-        codes, n_classes = codes.astype(np.int64), len(uniques)
+    codes, n_classes = pool.class_codes
     pts = grid.points()
-    k_eff = min(params.k, pool.n_rows)
-    idx, dist = nearest_neighbors(pts, pool.features, k_eff)
+    idx, dist = nearest_neighbors(pts, pool.features, params.k)
     scores = dci_scores(codes[idx], dist, n_classes, params)
     return scores.reshape(grid.resolution, grid.resolution)
 

@@ -127,119 +127,151 @@ def _inv_counts(n: int) -> tuple[np.ndarray, np.ndarray]:
     return hit
 
 
-def _best_split(
-    Xn: np.ndarray, yn: np.ndarray, task: str, n_classes: int, min_leaf: int
-) -> tuple[int, int, np.ndarray] | None:
-    """(feature, split position, sort order) minimizing child impurity.
+# Split searches run on batches of nodes of similar size, padded to the
+# widest; a batch holds at most this many (node, feature, row) cells unless
+# one node alone needs more.
+_BATCH_CELLS = 1 << 14
 
-    Scores every midpoint of every feature at once; ties resolve to the
-    lowest (feature index, threshold) because argmin scans the
-    feature-major layout front to back.
+
+def _best_splits(
+    ranks: np.ndarray, y: np.ndarray, rows: np.ndarray, n: np.ndarray, task: str, n_classes: int, min_leaf: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(feature, position, sorted rows) of each node's best split.
+
+    ``rows`` is (K, m): node k's training rows in node order, padded past
+    n[k]; ``ranks`` is (d, n_rows), equal values sharing a rank. Per node
+    this scores every midpoint of every feature in stable sort order,
+    (value, position in the node); pads sort last and score +inf, and each
+    kept cell sees the same operations in the same order as a search on
+    its node alone, so batching changes no bit. Ties resolve to the lowest
+    (feature index, threshold) because argmin scans each node's
+    feature-major layout front to back. Position -1 marks no valid split.
     """
-    n, d = Xn.shape
-    order = np.argsort(Xn, axis=0, kind="stable")
-    xs = Xn[order, np.arange(d)]
-    ys = yn[order]
-    movable = xs[:-1] < xs[1:]
-    inv_nl, inv_nr = _inv_counts(n)
+    K, m = rows.shape
+    d, n_rows = ranks.shape
+    shift = (m - 1).bit_length()
+    key = ranks[np.arange(d)[None, :, None], rows[:, None, :]]
+    np.copyto(key, n_rows, where=(np.arange(m) >= n[:, None])[:, None, :])
+    key <<= shift
+    key |= np.arange(m)  # (rank, position) packed: keys are distinct, so any sort is stable
+    order = np.argsort(key, axis=-1)
+    sorted_key = key.ravel()[order + (m * np.arange(K * d)).reshape(K, d, 1)]
+    sorted_rows = rows.ravel()[order + (m * np.arange(K))[:, None, None]]
+    ys = y[sorted_rows]
+    last = (n - 1)[:, None, None]
+    j = np.arange(m - 1)
+    inv_nl = _inv_counts(m)[0][:, 0]
+    inv_nr = inv_nl[np.maximum(n[:, None] - 2 - j, 0)][:, None, :]  # 1 / (n - 1 - j)
     if task == CLASSIFICATION:
         # Minimizing summed child Gini equals maximizing sum of squared
         # class counts over child size; the constant parent terms drop out.
-        sq = np.zeros((n - 1, d))
+        # Counts are exact in float64; the last class gets what is left.
+        seen = np.arange(1.0, m + 1)
+        score = np.zeros((K, d, m - 1))
         for c in range(n_classes):
-            cum = np.cumsum(ys == c, axis=0)
-            sq += cum[:-1] ** 2 * inv_nl + (cum[-1] - cum[:-1]) ** 2 * inv_nr
-        score = -sq
+            cum = seen if c == n_classes - 1 else np.cumsum(ys == c, axis=-1, dtype=np.float64)
+            seen = seen - cum
+            rest = np.take_along_axis(cum, last, -1) - cum[..., :-1]
+            score -= cum[..., :-1] ** 2 * inv_nl + rest**2 * inv_nr
     else:
-        cs = np.cumsum(ys, axis=0)
-        css = np.cumsum(ys * ys, axis=0)
+        cs = np.cumsum(ys, axis=-1)
+        css = np.cumsum(ys * ys, axis=-1)
         # Cancellation can push a sum-of-squared-errors term slightly
         # negative; harmless for an argmin over relative scores.
-        score = (css[:-1] - cs[:-1] ** 2 * inv_nl) + (
-            (css[-1] - css[:-1]) - (cs[-1] - cs[:-1]) ** 2 * inv_nr
+        score = (css[..., :-1] - cs[..., :-1] ** 2 * inv_nl) + (
+            (np.take_along_axis(css, last, -1) - css[..., :-1])
+            - (np.take_along_axis(cs, last, -1) - cs[..., :-1]) ** 2 * inv_nr
         )
-    score[~movable] = np.inf
-    if min_leaf > 1:
-        score[: min_leaf - 1] = np.inf
-        score[n - min_leaf :] = np.inf
-    flat = np.argmin(score.T.ravel())
-    f, pos = divmod(int(flat), n - 1)
-    if not np.isfinite(score[pos, f]):
-        return None
-    return f, pos, order[:, f]
+    stuck = (sorted_key[..., :-1] >> shift) == (sorted_key[..., 1:] >> shift)
+    stuck |= ((j < min_leaf - 1) | (j >= (n - min_leaf)[:, None]))[:, None, :]
+    score[stuck] = np.inf
+    flat = score.reshape(K, -1)
+    best = flat.argmin(axis=1)
+    feature, pos = np.divmod(best, m - 1)
+    pos[~np.isfinite(flat[np.arange(K), best])] = -1
+    return feature, pos, sorted_rows
 
 
-def _grow_tree(
-    X: np.ndarray,
-    y: np.ndarray,
-    task: str,
-    n_classes: int,
-    config: EnsembleConfig,
-) -> _Tree:
-    feature: list[int] = []
-    threshold: list[float] = []
-    left: list[int] = []
-    right: list[int] = []
-    leaf_values: dict[int, np.ndarray] = {}
+def _grow_trees(
+    X: np.ndarray, y: np.ndarray, boots: list[np.ndarray], task: str, n_classes: int, config: EnsembleConfig
+) -> list[_Tree]:
+    """One tree per bootstrap row list, grown one depth at a time.
 
-    def new_node() -> int:
-        node = len(feature)
-        feature.append(_LEAF)
-        threshold.append(0.0)
-        left.append(_LEAF)
-        right.append(_LEAF)
-        return node
+    The nodes of a depth, across all trees, share batched split searches,
+    and each node's split is what a search on that node alone would give. A
+    child keeps its rows in its parent's order along the split feature.
+    Nodes live in one table: node t is the root of tree t.
+    """
+    ranks = np.stack([np.unique(col, return_inverse=True)[1] for col in X.T])
+    ids = np.arange(len(boots))  # the frontier: node ids, rows and row counts
+    rows = np.concatenate(boots)
+    sizes = np.array([b.size for b in boots])
+    owner, splits, leaves = [ids], [], []
+    depth = 0
+    while ids.size:
+        starts = np.cumsum(sizes) - sizes
+        y_rows = y[rows]
+        lo, hi = np.minimum.reduceat(y_rows, starts), np.maximum.reduceat(y_rows, starts)
+        grow = (hi != lo if task == CLASSIFICATION else hi - lo != 0.0) & (sizes >= max(2, 2 * config.min_leaf))
+        if config.max_depth is not None and depth >= config.max_depth:
+            grow[:] = False
+        todo = np.flatnonzero(grow)
+        todo = todo[np.argsort(-sizes[todo], kind="stable")]
+        found = []
+        while todo.size:
+            # Largest nodes first, batched while they fill half the width.
+            m = int(sizes[todo[0]])
+            batch = todo[: max(1, _BATCH_CELLS // (m * X.shape[1]))]
+            batch, todo = batch[2 * sizes[batch] >= m], todo[np.count_nonzero(2 * sizes[batch] >= m) :]
+            n = sizes[batch]
+            at = np.minimum(np.arange(m), n[:, None] - 1) + starts[batch][:, None]
+            f, pos, sorted_rows = _best_splits(ranks, y, rows[at], n, task, n_classes, config.min_leaf)
+            ok = pos >= 0
+            f, pos, n, chosen = f[ok], pos[ok], n[ok], sorted_rows[ok, f[ok]]
+            below = X[chosen[np.arange(n.size), pos], f]
+            above = X[chosen[np.arange(n.size), pos + 1], f]
+            thr = 0.5 * (below + above)
+            thr = np.where(thr >= above, below, thr)  # midpoint rounded up
+            sizes_lr = np.column_stack([pos + 1, n - pos - 1]).ravel()
+            found.append((batch[ok], f, thr, sizes_lr, chosen[np.arange(m) < n[:, None]]))
+        at, f, thr, sizes_lr, rows_lr = (np.concatenate(p) for p in zip(*found)) if found else [ids[:0]] * 5
+        leaf = np.ones(ids.size, dtype=bool)
+        leaf[at] = False
+        if task == CLASSIFICATION:
+            cells = np.repeat(np.arange(ids.size) * n_classes, sizes) + y_rows
+            counts = np.bincount(cells, minlength=ids.size * n_classes).reshape(-1, n_classes)
+            leaves.append((ids[leaf], counts[leaf] / sizes[leaf, None]))
+        else:
+            # Row means of a C-contiguous block take the same pairwise sums
+            # as one leaf's mean, so leaves of one size are done together.
+            means, at_leaf = np.empty((leaf.sum(), 1)), np.flatnonzero(leaf)
+            for c in np.unique(sizes[leaf]):
+                same = sizes[at_leaf] == c
+                means[same, 0] = y_rows[starts[at_leaf[same]][:, None] + np.arange(c)].mean(axis=1)
+            leaves.append((ids[leaf], means))
+        children = sum(o.size for o in owner) + np.arange(2 * at.size)
+        splits.append((ids[at], f, thr, children[0::2], children[1::2]))
+        owner.append(np.repeat(owner[-1][at], 2))
+        ids, rows, sizes = children, rows_lr, sizes_lr
+        depth += 1
 
-    # Explicit stack: recursion depth can reach the sample count for
-    # min_leaf=1 trees on adversarial orderings.
-    root = new_node()
-    stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(X.shape[0]), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        n = idx.size
-        y_node = y[idx]
-        found = None
-        if (
-            (config.max_depth is None or depth < config.max_depth)
-            and n >= max(2, 2 * config.min_leaf)
-            and (
-                not (y_node == y_node[0]).all()
-                if task == CLASSIFICATION
-                else np.ptp(y_node) != 0.0
-            )
-        ):
-            found = _best_split(X[idx], y_node, task, n_classes, config.min_leaf)
-        if found is None:
-            if task == CLASSIFICATION:
-                counts = np.bincount(y_node.astype(np.int64), minlength=n_classes)
-                leaf_values[node] = counts / n
-            else:
-                leaf_values[node] = np.array([y_node.mean()])
-            continue
-        best_feature, best_pos, best_order = found
-        col_sorted = X[idx, best_feature][best_order]
-        thr = 0.5 * (col_sorted[best_pos] + col_sorted[best_pos + 1])
-        if thr >= col_sorted[best_pos + 1]:  # midpoint rounded up
-            thr = col_sorted[best_pos]
-        left_idx = idx[best_order[: best_pos + 1]]
-        right_idx = idx[best_order[best_pos + 1 :]]
-        feature[node] = best_feature
-        threshold[node] = float(thr)
-        left[node] = new_node()
-        right[node] = new_node()
-        stack.append((left[node], left_idx, depth + 1))
-        stack.append((right[node], right_idx, depth + 1))
-
-    value = np.zeros((len(feature), n_classes if task == CLASSIFICATION else 1))
-    for node, row in leaf_values.items():
-        value[node] = row
-    return _Tree(
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=np.float64),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        value=value,
-    )
+    owner = np.concatenate(owner)
+    feature, left, right = (np.full(owner.size + 1, _LEAF) for _ in range(3))
+    threshold = np.zeros(owner.size)
+    value = np.zeros((owner.size, n_classes if task == CLASSIFICATION else 1))
+    for node, f, thr, lo_child, hi_child in splits:
+        feature[node], threshold[node], left[node], right[node] = f, thr, lo_child, hi_child
+    for node, leaf_value in leaves:
+        value[node] = leaf_value
+    trees = []
+    for t in range(len(boots)):
+        nodes = np.flatnonzero(owner == t)  # ascending, so the root comes first
+        local = np.full(owner.size + 1, _LEAF)  # local[-1] maps _LEAF to itself
+        local[nodes] = np.arange(nodes.size)
+        trees.append(
+            _Tree(feature[nodes], threshold[nodes], local[left[nodes]], local[right[nodes]], value[nodes])
+        )
+    return trees
 
 
 def fit_ensemble(train: Dataset, config: EnsembleConfig = EnsembleConfig()) -> TreeEnsemble:
@@ -255,11 +287,11 @@ def fit_ensemble(train: Dataset, config: EnsembleConfig = EnsembleConfig()) -> T
     n_classes = train.class_count if train.is_classification else 0
     X = train.features
     y = train.labels.astype(np.float64) if task == REGRESSION else train.labels
-    trees = []
-    for t in range(config.n_trees):
-        rng = np.random.default_rng(config.seed + t)
-        boot = rng.integers(0, train.n_rows, size=train.n_rows)
-        trees.append(_grow_tree(X[boot], y[boot], task, n_classes, config))
+    boots = [
+        np.random.default_rng(config.seed + t).integers(0, train.n_rows, size=train.n_rows)
+        for t in range(config.n_trees)
+    ]
+    trees = _grow_trees(X, y, boots, task, n_classes, config)
     return TreeEnsemble(
         trees=trees,
         task=task,
@@ -342,6 +374,16 @@ def mean_std_uncertainty(pred: EnsemblePrediction) -> float | np.ndarray:
     m = d.mean(axis=0)
     out = np.sqrt(((d - m) ** 2).mean(axis=0)).mean(axis=-1)
     return float(out) if out.ndim == 0 else out
+
+
+# Uncertainty kind -> scoring function. It stays a plain module-level dict:
+# perfbench/tracer.py times the functions by wrapping the entries of such dicts.
+UNCERTAINTY = {
+    "eq3_binary": ensemble_binary_uncertainty,
+    "regression_std": regression_std_uncertainty,
+    "max_prob": max_prob_uncertainty,
+    "mean_std": mean_std_uncertainty,
+}
 
 
 def knn_predict(

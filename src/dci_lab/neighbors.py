@@ -125,13 +125,13 @@ def nearest_neighbors(
     k: int,
     exclude_self: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(indices, distances) of the k nearest reference rows per query row.
+    """(indices, distances) of the min(k, available) nearest reference rows.
 
-    The raw matrix-level core behind :func:`knn`; k must not exceed the
-    available reference rows. ``exclude_self`` treats query row i and
-    reference row i as the same point and skips it, for scoring a set
-    against itself. Rows are ordered by (distance, reference index), and
-    distances are direct differences, so coincident points are exactly 0.
+    The raw matrix-level core behind :func:`knn`. ``exclude_self`` treats
+    query row i and reference row i as the same point and skips it, for
+    scoring a set against itself; one reference row fewer is then available.
+    Rows are ordered by (distance, reference index), and distances are
+    direct differences, so coincident points are exactly 0.
 
     Per chunk of queries the expansion shortlists k candidates with
     ``argpartition``; only they get an exact distance. A row whose
@@ -146,8 +146,9 @@ def nearest_neighbors(
     budget = n_ref - 1 if exclude_self else n_ref
     if k < 1:
         raise ValueError("k must be at least 1")
-    if budget < k:
-        raise ValueError(f"k={k} exceeds the {budget} available reference rows")
+    if budget < 1:
+        raise ValueError("no reference row is available")
+    k = min(k, budget)
     if exclude_self and queries.shape[0] != n_ref:
         raise ValueError("exclude_self requires equal query and reference row counts")
 
@@ -201,17 +202,12 @@ def knn(pool: Dataset, query: np.ndarray, k: int) -> NeighborSet:
     ``query`` is one feature vector or a (n, d) batch; entries come back
     sorted by distance, ties by ascending pool index.
     """
-    if pool.n_rows < 1:
-        raise ValueError("pool is empty")
-    if k < 1:
-        raise ValueError("k must be at least 1")
     query = np.asarray(query, dtype=np.float64)
     single = query.ndim == 1
     Q = query[None, :] if single else query
     if Q.ndim != 2 or Q.shape[1] != pool.n_features:
         raise ValueError(f"query must have {pool.n_features} features")
-    k_eff = min(k, pool.n_rows)
-    idx, dist = nearest_neighbors(Q, pool.features, k_eff)
+    idx, dist = nearest_neighbors(Q, pool.features, k)
     labels = pool.labels[idx]
     if single:
         idx, dist, labels = idx[0], dist[0], labels[0]

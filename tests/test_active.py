@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_classification, make_regression
+from dci_lab import active
 from dci_lab.active import (
     ExperimentConfig,
     LearningCurve,
@@ -45,9 +46,9 @@ class TestStrategy:
         with pytest.raises(ValueError):
             Strategy(tag="dci-high")
         with pytest.raises(ValueError):
-            Strategy(tag="random", feature_space="pca", pca_components=3)
+            Strategy(tag="random", pca_components=3)
         with pytest.raises(ValueError):
-            Strategy(tag="dci-high", dci_params=DciParams(), feature_space="pca")
+            Strategy(tag="dci-high", dci_params=DciParams(), pca_components=-1)
 
     def test_labels(self):
         assert Strategy(tag="random").label == "random"
@@ -56,9 +57,7 @@ class TestStrategy:
             Strategy(tag="model-uncertainty", kind="eq3_binary").label
             == "uncertainty-eq3_binary"
         )
-        pca = Strategy(
-            tag="dci-high", dci_params=DciParams(), feature_space="pca", pca_components=20
-        )
+        pca = Strategy(tag="dci-high", dci_params=DciParams(), pca_components=20)
         assert pca.label == "dci-high-pca20"
 
 
@@ -233,9 +232,7 @@ class TestRunExperiment:
         assert curve.values[-1] >= 0.9  # two blobs 8 sigma apart
 
     def test_pca_feature_space_runs(self, rng):
-        strat = Strategy(
-            tag="dci-high", dci_params=DciParams(k=5), feature_space="pca", pca_components=2
-        )
+        strat = Strategy(tag="dci-high", dci_params=DciParams(k=5), pca_components=2)
         curve = run_experiment(self.config(rng, strategy=strat), seed=2)
         assert curve.strategy == "dci-high-pca2"
         assert len(curve.points) == 5
@@ -287,6 +284,63 @@ class TestRunMany:
         assert [c.seed for c in curves] == [40, 41, 42]
         again = run_many(config, base_seed=40)
         assert curves == again
+
+    @pytest.mark.parametrize("threads, n_seeds, workers", [(64, 2, 2), (2, 3, 2)])
+    def test_workers_capped_at_seed_count(self, rng, monkeypatch, threads, n_seeds, workers):
+        # A stand-in pool that records its size and runs tasks in-process,
+        # so no process is started however large the thread count.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(active, "ProcessPoolExecutor", RecordingPool)
+        config = ExperimentConfig(
+            dataset=two_blob_dataset(rng),
+            strategy=Strategy(tag="random"),
+            model=ModelConfig(kind="knn", knn_k=3),
+            initial_train_size=5,
+            additions_per_update=2,
+            n_updates=1,
+            n_seeds=n_seeds,
+            test_size=10,
+        )
+        curves = run_many(config, base_seed=7, threads=threads)
+        assert sizes == [workers]
+        assert curves == run_many(config, base_seed=7, threads=1)
+        assert sizes == [workers]
+
+
+class TestModelConfig:
+    def test_ensemble_settings(self):
+        model = ModelConfig(n_trees=4, max_depth=3, min_leaf=2)
+        ens = model.ensemble(17)
+        assert (ens.n_trees, ens.max_depth, ens.min_leaf, ens.seed) == (4, 3, 2, 17)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"kind": "forest"},
+            {"n_trees": 0},
+            {"max_depth": -1},
+            {"min_leaf": 0},
+            {"knn_k": 0},
+            {"kind": "knn", "max_depth": -1},
+        ],
+    )
+    def test_rejects_bad_fields(self, bad):
+        with pytest.raises(ValueError):
+            ModelConfig(**bad)
 
 
 class TestAggregate:

@@ -233,6 +233,105 @@ class TestAnalyze:
         assert "ensemble" in capsys.readouterr().err
 
 
+NUMERIC_POOL = [
+    (0.0, 0.0, 3.0), (1.0, 0.2, 3.0), (0.4, 1.1, 5.0), (2.0, 2.0, 5.0),
+    (2.5, 0.3, 7.5), (0.1, 2.6, 3.0), (1.7, 1.2, 7.5), (3.0, 3.1, 5.0),
+    (2.2, 2.9, -1.0), (0.8, 0.7, 3.0), (1.3, 2.4, 5.0), (2.9, 1.6, -1.0),
+]
+
+
+class TestNumericLabelPool:
+    """score and grid code a numeric label by its distinct values; dci.k
+    above the 12 pool rows is clamped to them."""
+
+    def pool_pairs(self, tmp_path, **extra):
+        spec = tmp_path / "pool.spec"
+        spec.write_text("x = numeric\ny = numeric\nt = label_numeric\n")
+        data = tmp_path / "pool.csv"
+        data.write_text("x,y,t\n" + "".join(f"{a},{b},{t}\n" for a, b, t in NUMERIC_POOL))
+        pairs = {
+            "data.source": "csv",
+            "data.csv": str(data),
+            "data.colspec": str(spec),
+            "data.standardize": "false",
+            "dci.k": "20",
+        }
+        pairs.update(extra)
+        return pairs
+
+    def expected(self, points):
+        pool = np.array(NUMERIC_POOL)
+        codes = np.unique(pool[:, 2], return_inverse=True)[1]
+        idx, dist = nearest_neighbors(points, pool[:, :2], 12)
+        return dci_scores(codes[idx], dist, 4, DciParams(k=20))
+
+    def test_score(self, tmp_path, rng):
+        queries = rng.uniform(-0.5, 3.5, size=(7, 2))
+        qpath = tmp_path / "q.csv"
+        qpath.write_text("x,y\n" + "".join(f"{a},{b}\n" for a, b in queries.tolist()))
+        cfg = write_cfg(
+            tmp_path / "c.cfg", **self.pool_pairs(tmp_path, **{"score.query": str(qpath)})
+        )
+        assert main(["score", "--config", cfg, "--out", str(tmp_path)]) == 0
+        want = [format(v + 0.0, ".9g") for v in self.expected(queries)]
+        assert (tmp_path / "scores.csv").read_text().splitlines() == ["dci"] + want
+
+    def test_grid(self, tmp_path):
+        grid = {"grid.x_min": "-1", "grid.x_max": "4", "grid.y_min": "-1", "grid.y_max": "4"}
+        cfg = write_cfg(
+            tmp_path / "c.cfg", **self.pool_pairs(tmp_path, **grid, **{"grid.resolution": "6"})
+        )
+        assert main(["grid", "--config", cfg, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "field.csv").read_text().splitlines()[1:]
+        points = np.array([[float(v) for v in r.split(",")[:2]] for r in rows])
+        want = [format(v + 0.0, ".9g") for v in self.expected(points)]
+        assert [r.split(",")[2] for r in rows] == want
+
+
+ANALYZE_PAIRS = base_pairs(
+    **{
+        "data.n": "150",
+        "model.kind": "ensemble",
+        "model.n_trees": "3",
+        "analyze.train_sizes": "12",
+        "analyze.n_splits": "1",
+        "analyze.test_size": "60",
+        "analyze.kinds": "max_prob",
+        "dci.k": "5",
+    }
+)
+
+
+class TestConfigRanges:
+    @pytest.mark.parametrize(
+        "command, pairs",
+        [
+            ("analyze", {"analyze.n_splits": "0"}),
+            ("analyze", {"analyze.train_sizes": "0"}),
+            ("analyze", {"analyze.train_sizes": "12,-3"}),
+            ("analyze", {"analyze.test_size": "-5"}),
+            ("analyze", {"analyze.alphas": "0"}),
+            ("analyze", {"analyze.betas": "1.2,-1"}),
+            ("analyze", {"analyze.kinds": "mean_std", "model.n_trees": "1"}),
+            ("analyze", {"analyze.kinds": "eq3_binary"}),
+            ("analyze", {"analyze.kinds": "entropy"}),
+            ("analyze", {"model.max_depth": "-1"}),
+            ("simulate", {"model.kind": "ensemble", "model.max_depth": "-1"}),
+        ],
+    )
+    def test_out_of_range_is_a_config_error(self, tmp_path, capsys, command, pairs):
+        base = ANALYZE_PAIRS if command == "analyze" else SIM_PAIRS
+        cfg = write_cfg(tmp_path / "c.cfg", **dict(base, **pairs))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_base_pairs_are_valid(self, tmp_path):
+        cfg = write_cfg(tmp_path / "c.cfg", **ANALYZE_PAIRS)
+        assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
 class TestErrorPaths:
     def test_requires_config_or_preset(self, capsys):
         assert main(["score"]) == 2

@@ -131,7 +131,7 @@ class TestStrategyLabels:
         high = parse_strategy("dci-high", params)
         assert high.tag == "dci-high" and high.dci_params.k == 9
         pca = parse_strategy("dci-low-pca12", params)
-        assert (pca.feature_space, pca.pca_components) == ("pca", 12)
+        assert (pca.tag, pca.pca_components) == ("dci-low", 12)
         unc = parse_strategy("uncertainty-mean_std", params)
         assert (unc.tag, unc.kind) == ("model-uncertainty", "mean_std")
         # labels round-trip: parsing a strategy's label reproduces it

@@ -53,6 +53,16 @@ class TestDatasetType:
         with pytest.raises(ValueError):
             Dataset(ds.features, ds.labels, specs, class_names=("a",))
 
+    def test_class_codes(self, rng):
+        ds = make_classification(rng.normal(size=(4, 2)), [2, 0, 2, 1], ("a", "b", "c", "d"))
+        codes, n = ds.class_codes
+        assert codes.tolist() == [2, 0, 2, 1] and n == 4  # unused classes still count
+        specs = (ColumnSpec("a", "numeric"), ColumnSpec("y", "label_numeric"))
+        ds = Dataset(rng.normal(size=(5, 1)), [7.5, -1.0, 7.5, 3.0, -1.0], specs)
+        codes, n = ds.class_codes
+        assert codes.dtype == np.int64
+        assert codes.tolist() == [2, 0, 2, 1, 0] and n == 3
+
     def test_arrays_are_readonly(self, rng):
         ds = make_classification(rng.normal(size=(5, 2)), [0, 1, 0, 1, 0])
         with pytest.raises(ValueError):

@@ -15,7 +15,6 @@ from dci_lab.dci import (
     dci_field,
     dci_score,
     dci_scores,
-    weighted_distance,
     write_field_csv,
 )
 from dci_lab.neighbors import NeighborSet, knn
@@ -178,15 +177,6 @@ class TestParams:
         with pytest.raises(ValueError):
             DciParams(epsilon=0.0)
         DciParams(beta=0.9)  # sub-1 exponents are legitimate
-
-    def test_weighted_distance(self):
-        p = DciParams(alpha=2.0, epsilon=1e-12)
-        assert weighted_distance(0.0, p) == 1e-12
-        assert weighted_distance(3.0, p) == pytest.approx(9.0 + 1e-12)
-        out = weighted_distance(np.array([1.0, 2.0]), p)
-        assert out == pytest.approx([1.0 + 1e-12, 4.0 + 1e-12])
-        with pytest.raises(ValueError):
-            weighted_distance(-0.5, p)
 
 
 class TestGrid:

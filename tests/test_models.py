@@ -13,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_classification, make_regression
+from dci_lab import models
 from dci_lab.models import (
     CLASSIFICATION,
     REGRESSION,
@@ -73,7 +74,7 @@ def ref_best_split(X, y, task, n_classes, min_leaf):
     thr = 0.5 * (xs[pos] + xs[pos + 1])
     if thr >= xs[pos + 1]:
         thr = xs[pos]
-    return f, float(thr)
+    return f, float(thr), np.argsort(X[:, f], kind="stable")
 
 
 def ref_grow(X, y, task, n_classes, config, depth=0):
@@ -92,7 +93,9 @@ def ref_grow(X, y, task, n_classes, config, depth=0):
         else:
             value = np.array([float(np.sum(y)) / n])
         return {"value": value}
-    f, thr = found
+    # Children keep the node's rows in stable order along the split feature.
+    f, thr, order = found
+    X, y = X[order], y[order]
     go_left = X[:, f] <= thr
     return {
         "feature": f,
@@ -162,6 +165,36 @@ class TestTreeOracle:
             got = tree.apply(queries)
             want = np.stack([ref_apply_row(ref, q) for q in queries])
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case", range(6))
+    def test_real_valued_regression_matches_reference(self, case):
+        # Non-integer labels make every sum order-sensitive, so this also
+        # pins the row order inside each node.
+        X, _, _, config = random_case(1000 * case + 7, REGRESSION)
+        y = np.random.default_rng(case).normal(size=len(X)) * 10.0 + 0.3
+        ensemble = fit_ensemble(make_regression(X, y), config)
+        for t, tree in enumerate(ensemble.trees):
+            boot = np.random.default_rng(config.seed + t).integers(0, len(y), size=len(y))
+            assert_tree_matches(tree, ref_grow(X[boot], y[boot], REGRESSION, 0, config))
+
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    def test_shared_batches_match_trees_grown_alone(self, task, monkeypatch):
+        # Real-valued labels make the sums order-sensitive, and rounded
+        # columns give ties, so any drift between a node searched in a
+        # shared padded batch and searched alone would show.
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(150, 4))
+        X[:, 1] = np.round(X[:, 1])
+        if task == CLASSIFICATION:
+            ds = make_classification(X, rng.integers(0, 3, size=150))
+        else:
+            ds = make_regression(X, rng.normal(size=150) * 1e3 + 0.1)
+        together = fit_ensemble(ds, EnsembleConfig(n_trees=6, min_leaf=2, seed=4))
+        monkeypatch.setattr(models, "_BATCH_CELLS", 1)  # one node per search
+        for t, tree in enumerate(together.trees):
+            alone = fit_ensemble(ds, EnsembleConfig(n_trees=1, min_leaf=2, seed=4 + t)).trees[0]
+            for name in ("feature", "threshold", "left", "right", "value"):
+                assert np.array_equal(getattr(tree, name), getattr(alone, name)), name
 
     def test_all_constant_features_give_root_leaf(self):
         X = np.full((12, 3), 1.5)

@@ -74,13 +74,17 @@ class TestNearestNeighbors:
             nearest_neighbors(X[:5], X, 3, exclude_self=True)
 
     def test_budget_checks(self, rng):
+        # k larger than the available rows is clamped to them.
         X = rng.normal(size=(5, 2))
-        with pytest.raises(ValueError):
-            nearest_neighbors(X, X, 6)
-        with pytest.raises(ValueError):
-            nearest_neighbors(X, X, 5, exclude_self=True)
+        idx, dist = nearest_neighbors(X, X, 6)
+        assert idx.shape == dist.shape == (5, 5)
+        idx, dist = nearest_neighbors(X, X, 5, exclude_self=True)
+        assert idx.shape == dist.shape == (5, 4)
+        assert idx.tolist() == nearest_neighbors(X, X, 4, exclude_self=True)[0].tolist()
         with pytest.raises(ValueError):
             nearest_neighbors(X, X, 0)
+        with pytest.raises(ValueError):
+            nearest_neighbors(X[:1], X[:1], 1, exclude_self=True)
         idx, _ = nearest_neighbors(X, X, 5)
         assert idx.shape == (5, 5)
 
