@@ -21,13 +21,14 @@ import numpy as np
 from .dataset import Dataset, PcaModel, pca_fit, pca_project
 from .dci import DciParams, dci_scores
 from .metrics import accuracy, auroc, rmse
-from .neighbors import nearest_neighbors
+from .neighbors import extend_neighbors, nearest_neighbors
 from .models import (
     CLASSIFICATION,
     UNCERTAINTY,
     EnsembleConfig,
     EnsemblePrediction,
     fit_ensemble,
+    knn_from_labels,
     knn_predict,
     predict,
 )
@@ -279,11 +280,15 @@ class _BoundaryModel:
         else:
             self.ensemble = None
 
-    def _predict(self, X: np.ndarray) -> EnsemblePrediction:
+    def _predict(self, X: np.ndarray, neighbors: np.ndarray | None = None) -> EnsemblePrediction:
+        """Predictions for rows X; a kNN model given ``neighbors``, the rows'
+        neighbour lists into the training set, reads them instead of searching."""
         if self.ensemble is not None:
             return predict(self.ensemble, X)
-        out = knn_predict(self.train, X, self.config.model.knn_k)
-        out = np.asarray(out)
+        if neighbors is None:
+            out = knn_predict(self.train, X, self.config.model.knn_k)
+        else:
+            out = knn_from_labels(self.train, self.train.labels[neighbors])
         task = CLASSIFICATION if self.train.is_classification else "regression"
         return EnsemblePrediction(per_member=out[None], aggregate=out, task=task)
 
@@ -291,8 +296,10 @@ class _BoundaryModel:
         pred = self._predict(X)
         return np.asarray(UNCERTAINTY[self.config.strategy.kind](pred), dtype=np.float64)
 
-    def evaluate(self, test_X: np.ndarray, test_y: np.ndarray) -> float:
-        pred = self._predict(test_X)
+    def evaluate(
+        self, test_X: np.ndarray, test_y: np.ndarray, neighbors: np.ndarray | None = None
+    ) -> float:
+        pred = self._predict(test_X, neighbors)
         metric = self.config.metric
         if metric == "rmse":
             return rmse(pred.aggregate, test_y)
@@ -326,6 +333,11 @@ def run_experiment(config: ExperimentConfig, seed: int) -> LearningCurve:
     test_y = ds.labels[test_idx]
     strategy = config.strategy
     use_pca = strategy.pca_components > 0
+    # The kNN model's test-row neighbour lists into lab_X, as indices and
+    # squared distances; each boundary extends them with the rows labelled
+    # since the one before (n_seen), which leaves them equal to a fresh search.
+    test_nbrs = (np.empty((config.test_size, 0), dtype=np.int64), np.empty((config.test_size, 0)))
+    n_seen = 0
 
     points: list[tuple[int, float]] = []
     for update in range(config.n_updates + 1):
@@ -339,7 +351,14 @@ def run_experiment(config: ExperimentConfig, seed: int) -> LearningCurve:
             pca = pca_fit(lab_X[:n_lab], n_comp)
             proj = np.empty((n_final, n_comp))
             proj[:n_lab] = pca_project(pca, lab_X[:n_lab])
-        points.append((n_lab, boundary.evaluate(test_X, test_y)))
+        neighbors = None
+        if config.model.kind == "knn":
+            test_nbrs = extend_neighbors(
+                test_X, lab_X[:n_lab], n_seen, *test_nbrs, config.model.knn_k
+            )
+            n_seen = n_lab
+            neighbors = test_nbrs[0]
+        points.append((n_lab, boundary.evaluate(test_X, test_y, neighbors)))
         if update == config.n_updates:
             break
         for _ in range(config.additions_per_update):

@@ -68,7 +68,9 @@ KNOWN_KEYS = frozenset(
 
 PRESETS: dict[str, dict[str, str]] = {
     # Binary income classification: 1162 initial, 200 added per update,
-    # 29 updates, 20 runs, 10-member committee scored with eq3_binary.
+    # 29 updates, 20 runs, 10-member committee scored with eq3_binary. Leaves
+    # of at least 3 rows: grown to purity every member votes 0 or 1, and
+    # eq3_binary is -0.5 on every row.
     "adult": {
         "data.source": "synthetic",
         "data.name": "census",
@@ -82,6 +84,7 @@ PRESETS: dict[str, dict[str, str]] = {
         "experiment.test_size": "3000",
         "model.kind": "ensemble",
         "model.n_trees": "10",
+        "model.min_leaf": "3",
         "dci.k": "20",
         "dci.alpha": "1.5",
         "dci.beta": "1.2",

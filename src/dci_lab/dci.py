@@ -24,6 +24,8 @@ from .dataset import DataError, Dataset
 from .neighbors import NeighborSet, nearest_neighbors
 
 DEFAULT_EPSILON = 1e-12
+# Float64 cells per block of per-class weight sums in dci_scores (512 KB).
+_SUM_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -120,15 +122,25 @@ def dci_scores(
     w_num = 1.0 / d_alpha
     denom = (d_alpha ** (-params.beta)).sum(axis=1)
 
-    # Only classes present among the neighbours can attain the minimum; an
-    # absent class keeps the full weight sum, which dominates every present
-    # class. Per-class sums are taken directly over the retained entries;
-    # deriving them as total - class_sum loses everything to cancellation
-    # when one neighbour sits at distance ~0 and dominates the total.
-    min_num = None
-    for j in np.unique(labels):
-        num_j = np.where(labels != j, w_num, 0.0).sum(axis=1)
-        min_num = num_j if min_num is None else np.minimum(min_num, num_j)
+    # Only classes present among a row's neighbours can attain its minimum;
+    # any other class keeps the row's full weight sum, which dominates, since
+    # adding a non-negative term never lowers a rounded sum. Per-class sums
+    # are taken directly over the retained entries; deriving them as
+    # total - class_sum loses everything to cancellation when one neighbour
+    # sits at distance ~0 and dominates the total. They are formed as one
+    # (classes, rows, k) block per bounded run of rows; the classes tried are
+    # those present in the batch or, when these outnumber k (a numeric label
+    # can have thousands of distinct values), each row's own neighbour labels.
+    present = np.unique(labels)
+    n, k = labels.shape
+    per_row = present.size > k
+    step = max(1, _SUM_CELLS // max(1, min(present.size, k) * k))
+    min_num = np.empty(n)
+    for s in range(0, n, step):
+        lab = labels[s : s + step]
+        classes = lab.T[:, :, None] if per_row else present[:, None, None]
+        num = np.where(lab != classes, w_num[s : s + step], 0.0).sum(axis=2)
+        min_num[s : s + step] = num.min(axis=0)
     return min_num / denom
 
 

@@ -386,6 +386,18 @@ UNCERTAINTY = {
 }
 
 
+def knn_from_labels(pool: Dataset, neighbor_labels: np.ndarray) -> np.ndarray:
+    """Vote fractions (classification) or neighbour mean (regression) per row.
+
+    ``neighbor_labels`` is (n, k): the labels of each row's neighbours in
+    ``pool``, in list order, which the regression mean keeps.
+    """
+    if pool.is_classification:
+        counts = (neighbor_labels[:, :, None] == np.arange(pool.class_count)).sum(axis=1)
+        return counts / neighbor_labels.shape[1]
+    return neighbor_labels.mean(axis=1)
+
+
 def knn_predict(
     pool: Dataset, query: np.ndarray, k: int
 ) -> np.ndarray | float:
@@ -396,9 +408,7 @@ def knn_predict(
     query = np.asarray(query, dtype=np.float64)
     single = query.ndim == 1
     nbrs = knn(pool, query[None, :] if single else query, k)
-    if pool.is_classification:
-        counts = (nbrs.labels[:, :, None] == np.arange(pool.class_count)).sum(axis=1)
-        probs = counts / nbrs.k
-        return probs[0] if single else probs
-    means = nbrs.labels.mean(axis=1)
-    return float(means[0]) if single else means
+    out = knn_from_labels(pool, nbrs.labels)
+    if not single:
+        return out
+    return out[0] if pool.is_classification else float(out[0])

@@ -119,6 +119,72 @@ def _exact_sq(chunk: np.ndarray, reference: np.ndarray, cols: np.ndarray) -> np.
     return out
 
 
+def _sq_error_bound(d: int, q_sq: np.ndarray, ref_max: float) -> np.ndarray:
+    """Bound on |expanded - exact| of one squared distance, per query row.
+
+    (d + 2) eps per unit of |q|^2 + max |r|^2 covers the norms, the dot
+    product and the two additions for any summation order; the factor 2
+    covers the rounding of the direct differences the expansion is
+    compared with.
+    """
+    return 2.0 * (d + 2) * np.finfo(np.float64).eps * (q_sq + ref_max)
+
+
+def _nearest_sq(
+    queries: np.ndarray, reference: np.ndarray, k: int, exclude_self: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`nearest_neighbors` with squared distances."""
+    queries = np.asarray(queries, dtype=np.float64)
+    reference = np.asarray(reference, dtype=np.float64)
+    _check_shapes(queries, reference)
+    n_ref, d = reference.shape
+    budget = n_ref - 1 if exclude_self else n_ref
+    if k < 1:
+        raise ValueError("k must be at least 1")
+    if budget < 1:
+        raise ValueError("no reference row is available")
+    k = min(k, budget)
+    if exclude_self and queries.shape[0] != n_ref:
+        raise ValueError("exclude_self requires equal query and reference row counts")
+
+    ref_sq = _sq_norms(reference)
+    if not np.isfinite(ref_sq).all():
+        raise DataError("reference rows must be finite")
+    ref_max = float(ref_sq.max())
+    n_q = queries.shape[0]
+    indices = np.empty((n_q, k), dtype=np.int64)
+    distances = np.empty((n_q, k))
+    for start in range(0, n_q, _CHUNK_ROWS):
+        chunk = queries[start : start + _CHUNK_ROWS]
+        q_sq = _sq_norms(chunk)
+        if not np.isfinite(q_sq).all():
+            raise DataError("query rows must be finite")
+        sq = _expanded_sq(chunk, q_sq, reference, ref_sq)
+        rows = np.arange(chunk.shape[0])
+        if exclude_self:
+            sq[rows, start + rows] = np.inf
+        part = np.argpartition(sq, [k - 1, k] if k < n_ref else k - 1, axis=1)
+        # A reference row can beat or tie the k-th candidate only if its
+        # expanded value is within twice the bound of the k-th one.
+        limit = sq[rows, part[:, k - 1]] + 2.0 * _sq_error_bound(d, q_sq, ref_max)
+        cand = part[:, :k]
+        ex = _exact_sq(chunk, reference, cand)
+        order = np.lexsort((cand, ex))
+        out = slice(start, start + chunk.shape[0])
+        indices[out] = cand[rows[:, None], order]
+        distances[out] = ex[rows[:, None], order]
+        if k == n_ref:
+            continue
+        # Contested rows: redo exactly over every rival inside the bound.
+        for i in np.flatnonzero(sq[rows, part[:, k]] <= limit):
+            rivals = np.flatnonzero(sq[i] <= limit[i])
+            r_sq = _exact_sq(chunk[i : i + 1], reference, rivals[None, :])[0]
+            best = np.lexsort((rivals, r_sq))[:k]
+            indices[start + i] = rivals[best]
+            distances[start + i] = r_sq[best]
+    return indices, distances
+
+
 def nearest_neighbors(
     queries: np.ndarray,
     reference: np.ndarray,
@@ -139,61 +205,85 @@ def nearest_neighbors(
     its k-th has rivals the expansion cannot order, and is redone exactly
     over every reference row inside that bound.
     """
+    indices, distances = _nearest_sq(queries, reference, k, exclude_self)
+    np.sqrt(distances, out=distances)
+    return indices, distances
+
+
+def extend_neighbors(
+    queries: np.ndarray,
+    reference: np.ndarray,
+    start: int,
+    indices: np.ndarray,
+    sq_distances: np.ndarray,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Neighbour lists against ``reference[:start]``, extended to all of it.
+
+    ``indices`` and ``sq_distances`` are the lists of ``queries`` against
+    the first ``start`` reference rows, as this function returns them;
+    pass ``start = 0`` and (n_queries, 0) arrays for the first call. The
+    result, (indices, squared distances) of the min(k, n_reference)
+    nearest rows, is bit for bit ``nearest_neighbors(queries, reference,
+    k)`` with its distances squared: merging on squared values keeps the
+    order a fresh search gives, where two of them could share one root.
+
+    While the lists are short of k entries they hold every earlier row,
+    and the lists are searched afresh. Otherwise only the appended rows
+    are expanded, and only those whose expanded value lies within the
+    rounding bound of a row's k-th squared distance get an exact one.
+    """
     queries = np.asarray(queries, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
     _check_shapes(queries, reference)
+    n_q = queries.shape[0]
     n_ref, d = reference.shape
-    budget = n_ref - 1 if exclude_self else n_ref
     if k < 1:
         raise ValueError("k must be at least 1")
-    if budget < 1:
-        raise ValueError("no reference row is available")
-    k = min(k, budget)
-    if exclude_self and queries.shape[0] != n_ref:
-        raise ValueError("exclude_self requires equal query and reference row counts")
+    if not 0 <= start <= n_ref:
+        raise ValueError("start must lie within the reference rows")
+    if indices.shape != (n_q, min(k, start)) or sq_distances.shape != indices.shape:
+        raise ValueError("the lists must have shape (n_queries, min(k, start))")
+    if start < k:
+        return _nearest_sq(queries, reference, k)
+    if start == n_ref:
+        return indices, sq_distances
 
-    ref_sq = _sq_norms(reference)
-    if not np.isfinite(ref_sq).all():
+    new = reference[start:]
+    new_sq = _sq_norms(new)
+    if not np.isfinite(new_sq).all():
         raise DataError("reference rows must be finite")
-    # Bound on |expanded - exact| of one squared distance, per unit of
-    # |q|^2 + max |r|^2: (d + 2) eps covers the norms, the dot product and
-    # the two additions for any summation order; the factor 2 covers the
-    # rounding of the direct differences the expansion is compared with.
-    rel_err = 2.0 * (d + 2) * np.finfo(np.float64).eps
-    ref_max = float(ref_sq.max())
-    n_q = queries.shape[0]
-    indices = np.empty((n_q, k), dtype=np.int64)
-    distances = np.empty((n_q, k))
-    for start in range(0, n_q, _CHUNK_ROWS):
-        chunk = queries[start : start + _CHUNK_ROWS]
+    new_max = float(new_sq.max())
+    indices = indices.copy()
+    sq_distances = sq_distances.copy()
+    for start_q in range(0, n_q, _CHUNK_ROWS):
+        chunk = queries[start_q : start_q + _CHUNK_ROWS]
+        out = slice(start_q, start_q + chunk.shape[0])
         q_sq = _sq_norms(chunk)
         if not np.isfinite(q_sq).all():
             raise DataError("query rows must be finite")
-        sq = _expanded_sq(chunk, q_sq, reference, ref_sq)
-        rows = np.arange(chunk.shape[0])
-        if exclude_self:
-            sq[rows, start + rows] = np.inf
-        part = np.argpartition(sq, [k - 1, k] if k < n_ref else k - 1, axis=1)
-        # A reference row can beat or tie the k-th candidate only if its
-        # expanded value is within twice the bound of the k-th one.
-        limit = sq[rows, part[:, k - 1]] + 2.0 * rel_err * (q_sq + ref_max)
-        cand = part[:, :k]
-        ex = _exact_sq(chunk, reference, cand)
-        order = np.lexsort((cand, ex))
-        out = slice(start, start + chunk.shape[0])
-        indices[out] = cand[rows[:, None], order]
-        distances[out] = ex[rows[:, None], order]
-        if k == n_ref:
+        # An appended row can beat the k-th entry only if its expanded value
+        # is within the bound of that entry's exact value.
+        limit = sq_distances[out, k - 1] + _sq_error_bound(d, q_sq, new_max)
+        rows, cols = np.nonzero(_expanded_sq(chunk, q_sq, new, new_sq) <= limit[:, None])
+        if rows.size == 0:
             continue
-        # Contested rows: redo exactly over every rival inside the bound.
-        for i in np.flatnonzero(sq[rows, part[:, k]] <= limit):
-            rivals = np.flatnonzero(sq[i] <= limit[i])
-            r_sq = _exact_sq(chunk[i : i + 1], reference, rivals[None, :])[0]
-            best = np.lexsort((rivals, r_sq))[:k]
-            indices[start + i] = rivals[best]
-            distances[start + i] = r_sq[best]
-    np.sqrt(distances, out=distances)
-    return indices, distances
+        cand_sq = _exact_sq(chunk[rows], new, cols[:, None])[:, 0]
+        # Merge: each row's list, then its candidates, padded with
+        # (inf, n_ref) entries that sort last.
+        counts = np.bincount(rows, minlength=chunk.shape[0])
+        slot = k + np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        width = k + int(counts.max())
+        m_idx = np.full((chunk.shape[0], width), n_ref, dtype=np.int64)
+        m_sq = np.full((chunk.shape[0], width), np.inf)
+        m_idx[:, :k] = indices[out]
+        m_sq[:, :k] = sq_distances[out]
+        m_idx[rows, slot] = cols + start
+        m_sq[rows, slot] = cand_sq
+        order = np.lexsort((m_idx, m_sq))[:, :k]
+        indices[out] = np.take_along_axis(m_idx, order, axis=1)
+        sq_distances[out] = np.take_along_axis(m_sq, order, axis=1)
+    return indices, sq_distances
 
 
 def knn(pool: Dataset, query: np.ndarray, k: int) -> NeighborSet:

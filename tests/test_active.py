@@ -266,6 +266,67 @@ class TestRunExperiment:
         assert all(0.0 <= v <= 1.0 for v in curve.values)
 
 
+class TestKnnTestLists:
+    """The kNN model evaluates from test-row neighbour lists that each
+    boundary extends; its curves must equal knn_predict run afresh."""
+
+    def fresh_curve(self, config, seed, monkeypatch):
+        evaluate = active._BoundaryModel.evaluate
+        seen = []
+
+        def fresh(boundary, test_X, test_y, neighbors=None):
+            seen.append(neighbors is not None)
+            return evaluate(boundary, test_X, test_y)
+
+        with monkeypatch.context() as m:
+            m.setattr(active._BoundaryModel, "evaluate", fresh)
+            curve = run_experiment(config, seed)
+        assert all(seen)
+        return curve
+
+    @pytest.mark.parametrize(
+        "strategy",
+        [
+            Strategy(tag="random"),
+            Strategy(tag="dci-high", dci_params=DciParams(k=4)),
+            Strategy(tag="model-uncertainty", kind="max_prob"),
+        ],
+    )
+    def test_class_pool_accuracy(self, rng, monkeypatch, strategy):
+        # Rounded overlapping blobs: many exact distance ties.
+        X = np.round(np.concatenate([rng.normal(size=(60, 3)), rng.normal(size=(60, 3)) + 1.0]))
+        ds = make_classification(X, np.repeat([0, 1], 60))
+        config = ExperimentConfig(
+            dataset=ds,
+            strategy=strategy,
+            model=ModelConfig(kind="knn", knn_k=5),
+            metric="accuracy",
+            initial_train_size=3,
+            additions_per_update=2,
+            n_updates=12,
+            test_size=40,
+        )
+        for seed in (0, 1, 2):
+            assert run_experiment(config, seed) == self.fresh_curve(config, seed, monkeypatch)
+
+    def test_numeric_label_pool_rmse(self, rng, monkeypatch):
+        # The regression mean is taken in list order, so the order is pinned.
+        X = np.round(rng.normal(size=(150, 2)) * 2.0)
+        ds = make_regression(X, X[:, 0] * 3.0 + rng.normal(size=150))
+        config = ExperimentConfig(
+            dataset=ds,
+            strategy=Strategy(tag="dci-high", dci_params=DciParams(k=6)),
+            model=ModelConfig(kind="knn", knn_k=9),
+            metric="rmse",
+            initial_train_size=4,
+            additions_per_update=7,
+            n_updates=9,
+            test_size=50,
+        )
+        for seed in (0, 1, 2):
+            assert run_experiment(config, seed) == self.fresh_curve(config, seed, monkeypatch)
+
+
 class TestRunMany:
     def test_seed_range_and_determinism(self, rng):
         ds = two_blob_dataset(rng)

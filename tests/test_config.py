@@ -1,7 +1,11 @@
 """Config parsing, preset merging and typed access."""
 
+import numpy as np
 import pytest
 
+from dci_lab import models
+from dci_lab.active import ExperimentConfig, run_experiment
+from dci_lab.cli import prepare_dataset
 from dci_lab.config import (
     KNOWN_KEYS,
     PRESETS,
@@ -17,6 +21,7 @@ from dci_lab.config import (
     parse_strategy,
 )
 from dci_lab.dci import DciParams
+from dci_lab.models import ensemble_binary_uncertainty, fit_ensemble, predict
 
 
 class TestParseConfig:
@@ -154,3 +159,49 @@ class TestStrategyLabels:
             parse_strategies(Cfg({"strategies": " , "}), params)
         labels = [s.label for s in parse_strategies(Cfg({}), params)]
         assert labels == ["random", "dci-high"]
+
+
+class TestAdultPreset:
+    """The adult committee baseline must score rows, not return a constant."""
+
+    def small(self):
+        overrides = {
+            "data.n": "1500",
+            "experiment.initial_train_size": "200",
+            "experiment.additions_per_update": "40",
+            "experiment.n_updates": "3",
+            "experiment.test_size": "400",
+        }
+        cfg = Cfg(merge_config("adult", overrides))
+        ds, _ = prepare_dataset(cfg)
+        return cfg, ds, build_model_config(cfg)
+
+    def test_eq3_binary_takes_many_values(self):
+        _, ds, model = self.small()
+        ens = fit_ensemble(ds.select_rows(np.arange(300)), model.ensemble(0))
+        u = ensemble_binary_uncertainty(predict(ens, ds.features[300:]))
+        assert np.unique(u).size > 1
+
+    def test_uncertainty_curve_is_not_random_or_lowest_index(self, monkeypatch):
+        cfg, ds, model = self.small()
+
+        def curve(label):
+            config = ExperimentConfig(
+                dataset=ds,
+                strategy=parse_strategy(label, build_dci_params(cfg)),
+                model=model,
+                metric=cfg.str("experiment.metric"),
+                initial_train_size=cfg.int("experiment.initial_train_size"),
+                additions_per_update=cfg.int("experiment.additions_per_update"),
+                n_updates=cfg.int("experiment.n_updates"),
+                test_size=cfg.int("experiment.test_size"),
+            )
+            return run_experiment(config, seed=0).values
+
+        uncertainty = curve("uncertainty-eq3_binary")
+        assert uncertainty != curve("random")
+        # A constant score hands every pick to the lowest candidate index.
+        monkeypatch.setitem(
+            models.UNCERTAINTY, "eq3_binary", lambda pred: np.zeros(pred.aggregate.shape[0])
+        )
+        assert uncertainty != curve("uncertainty-eq3_binary")

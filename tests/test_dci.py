@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import make_classification
+from dci_lab import dci
 from dci_lab.dataset import DataError
 from dci_lab.dci import (
     DciParams,
@@ -29,6 +30,20 @@ def naive_dci(labels, distances, n_classes, params):
         num = sum(w for w, lab in zip(weights, labels) if lab != j)
         if best is None or num < best:
             best = num
+    return best / denom
+
+
+def loop_dci(labels, distances, n_classes, params):
+    """The vectorised formula with one where-sum per present class, in turn."""
+    order = np.lexsort((labels, distances), axis=-1)
+    labels = np.take_along_axis(labels, order, axis=1)
+    distances = np.take_along_axis(distances, order, axis=1)
+    d_alpha = distances**params.alpha + params.epsilon
+    weights = 1.0 / d_alpha
+    denom = (d_alpha ** (-params.beta)).sum(axis=1)
+    best = np.full(labels.shape[0], np.inf)
+    for j in np.unique(labels):
+        best = np.minimum(best, np.where(labels != j, weights, 0.0).sum(axis=1))
     return best / denom
 
 
@@ -107,6 +122,19 @@ class TestDciScores:
         for i in range(8):
             single = dci_scores(labels[i][None], distances[i][None], 4)[0]
             assert batch[i] == single
+
+    @pytest.mark.parametrize("cells", [1, 7, 1 << 16])
+    @pytest.mark.parametrize("n_classes,k", [(3, 12), (40, 6), (12, 33)])
+    def test_blocked_class_sums_match_a_per_class_loop(self, rng, monkeypatch, cells, n_classes, k):
+        # Bit for bit, in blocks of any size, with fewer and with more
+        # classes present than neighbours; rounded and zero distances tie.
+        monkeypatch.setattr(dci, "_SUM_CELLS", cells)
+        params = DciParams(k=k, alpha=1.5, beta=1.2)
+        labels = rng.integers(0, n_classes, size=(30, k))
+        distances = np.round(rng.uniform(0.0, 3.0, size=(30, k)), 1)
+        distances[::4, 0] = 0.0
+        got = dci_scores(labels, distances, n_classes, params)
+        assert got.tobytes() == loop_dci(labels, distances, n_classes, params).tobytes()
 
     def test_zero_distance_neighbour_dominates(self):
         # A neighbour sitting exactly on the query point pushes its class.

@@ -14,6 +14,7 @@ from dci_lab import neighbors
 from dci_lab.dataset import DataError
 from dci_lab.neighbors import (
     NeighborSet,
+    extend_neighbors,
     knn,
     nearest_neighbors,
     pairwise_sq_distances,
@@ -187,6 +188,92 @@ class TestAgainstBruteForce:
             nearest_neighbors(Y, X, 2)
         with pytest.raises(DataError):
             nearest_neighbors(X, Y, 2)
+
+
+@st.composite
+def growth_problems(draw):
+    """A reference set grown in random blocks, with duplicates and an offset:
+    Gaussian rows, rounded rows (exact ties), or signed permutations of one
+    vector around the origin, whose equal true distances round to squared
+    values a few ulp apart that can share a root. Queries mix copies of
+    reference rows with fresh rows (the origin for the permutations), across
+    more than one query chunk."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gauss", "rounded", "sphere"]))
+    d = draw(st.integers(2 if kind == "sphere" else 1, 5))
+    n = draw(st.integers(1, 80))
+    if kind == "sphere":
+        base = rng.normal(size=d)
+        R = np.array([rng.permutation(base) for _ in range(n)])
+        R *= rng.choice([-1.0, 1.0], size=(n, d))
+    else:
+        R = rng.normal(size=(n, d))
+        if kind == "rounded":
+            R = np.round(R * 2.0)
+    n_dup = draw(st.integers(0, n // 2))
+    if n_dup:
+        R[rng.integers(0, n, size=n_dup)] = R[rng.integers(0, n, size=n_dup)]
+    offset = draw(st.sampled_from([0.0, -1e3, 1e6]))
+    m = draw(st.sampled_from([1, 5, 300]))
+    n_copy = draw(st.integers(0, m))
+    if kind == "sphere":
+        fresh = np.zeros((m - n_copy, d))
+    else:
+        fresh = R.mean(axis=0) + rng.normal(size=(m - n_copy, d)) * (R.std() + 1.0)
+    Q = np.vstack([R[rng.integers(0, n, size=n_copy)], fresh])[rng.permutation(m)]
+    R = R + offset
+    Q = Q + offset
+    # Mostly lists that fill up early, so that most steps extend them.
+    k = draw(st.one_of(st.integers(1, max(1, n // 3)), st.integers(1, n + 5)))
+    ends = []
+    end = 0
+    while end < n:
+        end = min(n, end + draw(st.integers(1, n)))
+        ends.append(end)
+    return Q, R, k, ends
+
+
+class TestExtendNeighbors:
+    @given(growth_problems())
+    def test_every_step_equals_a_fresh_search(self, problem):
+        Q, R, k, ends = problem
+        idx = np.empty((Q.shape[0], 0), dtype=np.int64)
+        sq = np.empty((Q.shape[0], 0))
+        start = 0
+        for end in ends:
+            idx, sq = extend_neighbors(Q, R[:end], start, idx, sq, k)
+            start = end
+            want_idx, want_dist = nearest_neighbors(Q, R[:end], k)
+            assert idx.tolist() == want_idx.tolist()
+            assert np.sqrt(sq).tobytes() == want_dist.tobytes()
+
+    def test_inputs_are_left_alone_and_nothing_appended_is_a_no_op(self, rng):
+        R = rng.normal(size=(30, 3))
+        Q = rng.normal(size=(8, 3))
+        idx, sq = extend_neighbors(Q, R[:20], 0, np.empty((8, 0), np.int64), np.empty((8, 0)), 4)
+        before = idx.copy(), sq.copy()
+        extend_neighbors(Q, R, 20, idx, sq, 4)
+        assert idx.tolist() == before[0].tolist() and sq.tobytes() == before[1].tobytes()
+        same = extend_neighbors(Q, R[:20], 20, idx, sq, 4)
+        assert same[0].tolist() == idx.tolist()
+
+    def test_validation(self, rng):
+        R = rng.normal(size=(10, 2))
+        Q = rng.normal(size=(3, 2))
+        idx, sq = extend_neighbors(Q, R[:6], 0, np.empty((3, 0), np.int64), np.empty((3, 0)), 4)
+        with pytest.raises(ValueError):
+            extend_neighbors(Q, R, 6, idx, sq, 0)
+        with pytest.raises(ValueError):
+            extend_neighbors(Q, R, 6, idx[:, :3], sq[:, :3], 4)
+        with pytest.raises(ValueError):
+            extend_neighbors(Q, R[:5], 6, idx, sq, 4)
+        with pytest.raises(ValueError):
+            extend_neighbors(Q[:, :1], R, 6, idx, sq, 4)
+        for bad in (np.nan, np.inf):
+            Y = R.copy()
+            Y[8, 0] = bad
+            with pytest.raises(DataError):
+                extend_neighbors(Q, Y, 6, idx, sq, 4)
 
 
 class TestKnn:
