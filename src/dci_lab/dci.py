@@ -128,18 +128,14 @@ def dci_scores(
     # are taken directly over the retained entries; deriving them as
     # total - class_sum loses everything to cancellation when one neighbour
     # sits at distance ~0 and dominates the total. They are formed as one
-    # (classes, rows, k) block per bounded run of rows; the classes tried are
-    # those present in the batch or, when these outnumber k (a numeric label
-    # can have thousands of distinct values), each row's own neighbour labels.
-    present = np.unique(labels)
+    # (present classes, rows, k) block per bounded run of rows.
+    present = np.unique(labels)[:, None, None]
     n, k = labels.shape
-    per_row = present.size > k
-    step = max(1, _SUM_CELLS // max(1, min(present.size, k) * k))
+    step = max(1, _SUM_CELLS // max(1, present.size * k))
     min_num = np.empty(n)
     for s in range(0, n, step):
         lab = labels[s : s + step]
-        classes = lab.T[:, :, None] if per_row else present[:, None, None]
-        num = np.where(lab != classes, w_num[s : s + step], 0.0).sum(axis=2)
+        num = np.where(lab != present, w_num[s : s + step], 0.0).sum(axis=2)
         min_num[s : s + step] = num.min(axis=0)
     return min_num / denom
 

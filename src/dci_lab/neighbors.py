@@ -265,21 +265,16 @@ def extend_neighbors(
         # An appended row can beat the k-th entry only if its expanded value
         # is within the bound of that entry's exact value.
         limit = sq_distances[out, k - 1] + _sq_error_bound(d, q_sq, new_max)
-        rows, cols = np.nonzero(_expanded_sq(chunk, q_sq, new, new_sq) <= limit[:, None])
+        sq = _expanded_sq(chunk, q_sq, new, new_sq)
+        rows, cols = np.nonzero(sq <= limit[:, None])
         if rows.size == 0:
             continue
-        cand_sq = _exact_sq(chunk[rows], new, cols[:, None])[:, 0]
-        # Merge: each row's list, then its candidates, padded with
-        # (inf, n_ref) entries that sort last.
-        counts = np.bincount(rows, minlength=chunk.shape[0])
-        slot = k + np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        width = k + int(counts.max())
-        m_idx = np.full((chunk.shape[0], width), n_ref, dtype=np.int64)
-        m_sq = np.full((chunk.shape[0], width), np.inf)
-        m_idx[:, :k] = indices[out]
-        m_sq[:, :k] = sq_distances[out]
-        m_idx[rows, slot] = cols + start
-        m_sq[rows, slot] = cand_sq
+        # Merge each row's list with the appended rows, those not
+        # shortlisted at inf so that they sort last.
+        sq.fill(np.inf)
+        sq[rows, cols] = _exact_sq(chunk[rows], new, cols[:, None])[:, 0]
+        m_sq = np.hstack([sq_distances[out], sq])
+        m_idx = np.hstack([indices[out], np.broadcast_to(np.arange(start, n_ref), sq.shape)])
         order = np.lexsort((m_idx, m_sq))[:, :k]
         indices[out] = np.take_along_axis(m_idx, order, axis=1)
         sq_distances[out] = np.take_along_axis(m_sq, order, axis=1)
