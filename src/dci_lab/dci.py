@@ -129,7 +129,7 @@ def dci_scores(
     # total - class_sum loses everything to cancellation when one neighbour
     # sits at distance ~0 and dominates the total. They are formed as one
     # (present classes, rows, k) block per bounded run of rows.
-    present = np.unique(labels)[:, None, None]
+    present = np.flatnonzero(np.bincount(labels.ravel(), minlength=n_classes))[:, None, None]
     n, k = labels.shape
     step = max(1, _SUM_CELLS // max(1, present.size * k))
     min_num = np.empty(n)

@@ -10,6 +10,7 @@ ensemble's per-member predictions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,13 +41,9 @@ class EnsembleConfig:
             raise ValueError("min_leaf must be at least 1")
 
 
-@dataclass
-class _Tree:
-    """Flat array encoding of one decision tree.
-
-    feature[i] is -1 at leaves; value rows hold the class distribution
-    (classification) or the mean response (regression) of the node.
-    """
+class _TreeView(NamedTuple):
+    """One member of an ensemble, cut from its node table and numbered from
+    its root at 0; ``left`` and ``right`` are -1 at leaves."""
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -54,21 +51,22 @@ class _Tree:
     right: np.ndarray
     value: np.ndarray
 
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        """Leaf value rows for each input row, via vectorized descent."""
-        idx = np.zeros(X.shape[0], dtype=np.int64)
-        rows = np.nonzero(self.feature[idx] != _LEAF)[0]
-        while rows.size:
-            node = idx[rows]
-            go_left = X[rows, self.feature[node]] <= self.threshold[node]
-            idx[rows] = np.where(go_left, self.left[node], self.right[node])
-            rows = rows[self.feature[idx[rows]] != _LEAF]
-        return self.value[idx]
-
 
 @dataclass(frozen=True)
 class TreeEnsemble:
-    trees: list[_Tree]
+    """Every tree of a bagged ensemble in one node table; node t is the root
+    of tree t.
+
+    feature[i] is -1 at leaves; value rows hold the class distribution
+    (classification) or the mean response (regression) of the node. A node's
+    children are adjacent, right = left + 1, and numbered after it.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
     task: str
     n_features: int
     n_classes: int = 0
@@ -77,7 +75,30 @@ class TreeEnsemble:
 
     @property
     def n_trees(self) -> int:
-        return len(self.trees)
+        return self.config.n_trees
+
+    @property
+    def trees(self) -> tuple[_TreeView, ...]:
+        """Per-tree views, cut from the table on each access; each keeps its
+        nodes in table order, so the root comes first."""
+        owner = np.empty(self.feature.size, dtype=np.int64)
+        nodes = np.arange(self.n_trees)
+        owner[nodes] = nodes
+        while nodes.size:
+            nodes = nodes[self.feature[nodes] != _LEAF]
+            owner[self.left[nodes]] = owner[self.right[nodes]] = owner[nodes]
+            nodes = np.concatenate([self.left[nodes], self.right[nodes]])
+        counts = np.bincount(owner, minlength=self.n_trees)
+        order = np.argsort(owner, kind="stable")
+        local = np.full(owner.size + 1, _LEAF)  # local[-1] maps _LEAF to itself
+        local[order] = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        return tuple(
+            _TreeView(
+                self.feature[nodes], self.threshold[nodes], local[self.left[nodes]], local[self.right[nodes]],
+                self.value[nodes],
+            )
+            for nodes in np.split(order, np.cumsum(counts)[:-1])
+        )
 
 
 @dataclass(frozen=True)
@@ -112,21 +133,6 @@ class EnsemblePrediction:
         return self.per_member.shape[0]
 
 
-_INV_COUNT_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _inv_counts(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cached (1/left size, 1/right size) columns for a node of n rows."""
-    hit = _INV_COUNT_CACHE.get(n)
-    if hit is None:
-        if len(_INV_COUNT_CACHE) > 4096:
-            _INV_COUNT_CACHE.clear()
-        sizes = np.arange(1, n, dtype=np.float64)[:, None]
-        hit = (1.0 / sizes, 1.0 / sizes[::-1])
-        _INV_COUNT_CACHE[n] = hit
-    return hit
-
-
 # Split searches run on batches of nodes of similar size, padded to the
 # widest; a batch holds at most this many (node, feature, row) cells unless
 # one node alone needs more.
@@ -140,52 +146,63 @@ def _best_splits(
 
     ``rows`` is (K, m): node k's training rows in node order, padded past
     n[k]; ``ranks`` is (d, n_rows), equal values sharing a rank. Per node
-    this scores every midpoint of every feature in stable sort order,
-    (value, position in the node); pads sort last and score +inf, and each
-    kept cell sees the same operations in the same order as a search on
-    its node alone, so batching changes no bit. Ties resolve to the lowest
-    (feature index, threshold) because argmin scans each node's
-    feature-major layout front to back. Position -1 marks no valid split.
+    and feature this sorts the rows stably, by (value, position in the
+    node), into the (K, d, m) sorted rows, and scores only the midpoints
+    between unequal values that leave min_leaf rows on each side; pads sort
+    last and are never scored. Each scored cell sees the same operations in
+    the same order as a search on its node alone, so batching changes no
+    bit. Ties resolve to the lowest (feature index, threshold) because
+    argmin scans each node's feature-major scores front to back. Position
+    -1 marks no valid split.
     """
     K, m = rows.shape
     d, n_rows = ranks.shape
     shift = (m - 1).bit_length()
-    key = ranks[np.arange(d)[None, :, None], rows[:, None, :]]
+    stored = np.take(ranks, rows, axis=1)  # (d, K, m): a plain take is the fastest gather
+    key = stored.transpose(1, 0, 2)
     np.copyto(key, n_rows, where=(np.arange(m) >= n[:, None])[:, None, :])
     key <<= shift
     key |= np.arange(m)  # (rank, position) packed: keys are distinct, so any sort is stable
     order = np.argsort(key, axis=-1)
-    sorted_key = key.ravel()[order + (m * np.arange(K * d)).reshape(K, d, 1)]
+    sorted_key = stored.ravel()[order + m * (np.arange(K)[:, None, None] + K * np.arange(d)[:, None])]
     sorted_rows = rows.ravel()[order + (m * np.arange(K))[:, None, None]]
     ys = y[sorted_rows]
-    last = (n - 1)[:, None, None]
+    # Cells at value boundaries inside the min_leaf range, by (K, d, m - 1)
+    # index; a line is one (node, feature) pair, and at and end index row j
+    # and the line's last row in (K, d, m).
+    rank = sorted_key >> shift
     j = np.arange(m - 1)
-    inv_nl = _inv_counts(m)[0][:, 0]
-    inv_nr = inv_nl[np.maximum(n[:, None] - 2 - j, 0)][:, None, :]  # 1 / (n - 1 - j)
+    stuck = rank[..., :-1] == rank[..., 1:]
+    stuck |= ((j < min_leaf - 1) | (j >= (n - min_leaf)[:, None]))[:, None, :]
+    cell = np.flatnonzero(~stuck)
+    line, j = np.divmod(cell, m - 1)
+    at, end = cell + line, (m * np.arange(K * d) + np.repeat(n - 1, d))[line]
+    inv = 1.0 / np.arange(1.0, m + 1)  # inv[c - 1] = 1 / c
+    inv_nl, inv_nr = inv[j], inv[end - at - 1]
     if task == CLASSIFICATION:
         # Minimizing summed child Gini equals maximizing sum of squared
         # class counts over child size; the constant parent terms drop out.
         # Counts are exact in float64; the last class gets what is left.
-        seen = np.arange(1.0, m + 1)
-        score = np.zeros((K, d, m - 1))
+        seen_at, seen_end = j + 1.0, np.repeat(n + 0.0, d)[line]
+        score = np.zeros(cell.size)
         for c in range(n_classes):
-            cum = seen if c == n_classes - 1 else np.cumsum(ys == c, axis=-1, dtype=np.float64)
-            seen = seen - cum
-            rest = np.take_along_axis(cum, last, -1) - cum[..., :-1]
-            score -= cum[..., :-1] ** 2 * inv_nl + rest**2 * inv_nr
+            if c == n_classes - 1:
+                cum_at, cum_end = seen_at, seen_end
+            else:
+                cum = np.cumsum(ys == c, axis=-1, dtype=np.float64).ravel()
+                cum_at, cum_end = cum[at], cum[end]
+                seen_at, seen_end = seen_at - cum_at, seen_end - cum_end
+            score -= cum_at**2 * inv_nl + (cum_end - cum_at) ** 2 * inv_nr
     else:
-        cs = np.cumsum(ys, axis=-1)
-        css = np.cumsum(ys * ys, axis=-1)
+        cs = np.cumsum(ys, axis=-1).ravel()
+        css = np.cumsum(ys * ys, axis=-1).ravel()
         # Cancellation can push a sum-of-squared-errors term slightly
         # negative; harmless for an argmin over relative scores.
-        score = (css[..., :-1] - cs[..., :-1] ** 2 * inv_nl) + (
-            (np.take_along_axis(css, last, -1) - css[..., :-1])
-            - (np.take_along_axis(cs, last, -1) - cs[..., :-1]) ** 2 * inv_nr
+        score = (css[at] - cs[at] ** 2 * inv_nl) + (
+            (css[end] - css[at]) - (cs[end] - cs[at]) ** 2 * inv_nr
         )
-    stuck = (sorted_key[..., :-1] >> shift) == (sorted_key[..., 1:] >> shift)
-    stuck |= ((j < min_leaf - 1) | (j >= (n - min_leaf)[:, None]))[:, None, :]
-    score[stuck] = np.inf
-    flat = score.reshape(K, -1)
+    flat = np.full((K, d * (m - 1)), np.inf)
+    flat.ravel()[cell] = score
     best = flat.argmin(axis=1)
     feature, pos = np.divmod(best, m - 1)
     pos[~np.isfinite(flat[np.arange(K), best])] = -1
@@ -194,19 +211,21 @@ def _best_splits(
 
 def _grow_trees(
     X: np.ndarray, y: np.ndarray, boots: list[np.ndarray], task: str, n_classes: int, config: EnsembleConfig
-) -> list[_Tree]:
+) -> tuple[np.ndarray, ...]:
     """One tree per bootstrap row list, grown one depth at a time.
 
     The nodes of a depth, across all trees, share batched split searches,
     and each node's split is what a search on that node alone would give. A
     child keeps its rows in its parent's order along the split feature.
-    Nodes live in one table: node t is the root of tree t.
+    Returns the node table (feature, threshold, left, right, value) of
+    :class:`TreeEnsemble`: node t is the root of tree t, and each depth's
+    children are numbered after every node above them.
     """
     ranks = np.stack([np.unique(col, return_inverse=True)[1] for col in X.T])
     ids = np.arange(len(boots))  # the frontier: node ids, rows and row counts
     rows = np.concatenate(boots)
     sizes = np.array([b.size for b in boots])
-    owner, splits, leaves = [ids], [], []
+    n_nodes, splits, leaves = ids.size, [], []
     depth = 0
     while ids.size:
         starts = np.cumsum(sizes) - sizes
@@ -249,29 +268,20 @@ def _grow_trees(
                 same = sizes[at_leaf] == c
                 means[same, 0] = y_rows[starts[at_leaf[same]][:, None] + np.arange(c)].mean(axis=1)
             leaves.append((ids[leaf], means))
-        children = sum(o.size for o in owner) + np.arange(2 * at.size)
+        children = n_nodes + np.arange(2 * at.size)
+        n_nodes += children.size
         splits.append((ids[at], f, thr, children[0::2], children[1::2]))
-        owner.append(np.repeat(owner[-1][at], 2))
         ids, rows, sizes = children, rows_lr, sizes_lr
         depth += 1
 
-    owner = np.concatenate(owner)
-    feature, left, right = (np.full(owner.size + 1, _LEAF) for _ in range(3))
-    threshold = np.zeros(owner.size)
-    value = np.zeros((owner.size, n_classes if task == CLASSIFICATION else 1))
+    feature, left, right = (np.full(n_nodes, _LEAF) for _ in range(3))
+    threshold = np.zeros(n_nodes)
+    value = np.zeros((n_nodes, n_classes if task == CLASSIFICATION else 1))
     for node, f, thr, lo_child, hi_child in splits:
         feature[node], threshold[node], left[node], right[node] = f, thr, lo_child, hi_child
     for node, leaf_value in leaves:
         value[node] = leaf_value
-    trees = []
-    for t in range(len(boots)):
-        nodes = np.flatnonzero(owner == t)  # ascending, so the root comes first
-        local = np.full(owner.size + 1, _LEAF)  # local[-1] maps _LEAF to itself
-        local[nodes] = np.arange(nodes.size)
-        trees.append(
-            _Tree(feature[nodes], threshold[nodes], local[left[nodes]], local[right[nodes]], value[nodes])
-        )
-    return trees
+    return feature, threshold, left, right, value
 
 
 def fit_ensemble(train: Dataset, config: EnsembleConfig = EnsembleConfig()) -> TreeEnsemble:
@@ -291,15 +301,41 @@ def fit_ensemble(train: Dataset, config: EnsembleConfig = EnsembleConfig()) -> T
         np.random.default_rng(config.seed + t).integers(0, train.n_rows, size=train.n_rows)
         for t in range(config.n_trees)
     ]
-    trees = _grow_trees(X, y, boots, task, n_classes, config)
     return TreeEnsemble(
-        trees=trees,
+        *_grow_trees(X, y, boots, task, n_classes, config),
         task=task,
         n_features=train.n_features,
         n_classes=n_classes,
         rng_seed=config.seed,
         config=config,
     )
+
+
+# Predictions descend blocks of rows whose (tree, row) pairs number at most
+# this many, unless one row alone has more.
+_DESCENT_CELLS = 1 << 14
+
+
+def _descend(ensemble: TreeEnsemble, X: np.ndarray) -> np.ndarray:
+    """(trees, rows) leaf ids of X: all pairs of a block descend together."""
+    feature, threshold, right = ensemble.feature, ensemble.threshold, ensemble.right
+    T, (n, d) = ensemble.n_trees, X.shape
+    X = np.ascontiguousarray(X)
+    out = np.empty((T, n), dtype=np.int64)
+    step = max(1, _DESCENT_CELLS // T)
+    for s in range(0, n, step):
+        block, b = X[s : s + step].ravel(), min(step, n - s)
+        node = np.repeat(np.arange(T), b)  # tree-major pairs
+        at = np.flatnonzero(feature[node] != _LEAF)  # pairs not yet at a leaf
+        cell = at % b * d  # offset of each pair's row in the block
+        while at.size:
+            here = node[at]
+            go_left = block[cell + feature[here]] <= threshold[here]
+            node[at] = here = right[here] - go_left  # left = right - 1
+            inner = feature[here] != _LEAF
+            at, cell = at[inner], cell[inner]
+        out[:, s : s + b] = node.reshape(T, b)
+    return out
 
 
 def predict(ensemble: TreeEnsemble, X: np.ndarray) -> EnsemblePrediction:
@@ -312,11 +348,9 @@ def predict(ensemble: TreeEnsemble, X: np.ndarray) -> EnsemblePrediction:
         raise ValueError(
             f"expected {ensemble.n_features} feature columns, got shape {X.shape}"
         )
-    stacked = np.stack([tree.apply(X) for tree in ensemble.trees])
+    per_member = ensemble.value[_descend(ensemble, X)]
     if ensemble.task == REGRESSION:
-        per_member = stacked[:, :, 0]
-    else:
-        per_member = stacked
+        per_member = per_member[..., 0]
     if single:
         per_member = per_member[:, 0]
     return EnsemblePrediction(

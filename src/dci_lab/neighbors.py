@@ -163,11 +163,12 @@ def _nearest_sq(
         rows = np.arange(chunk.shape[0])
         if exclude_self:
             sq[rows, start + rows] = np.inf
-        part = np.argpartition(sq, [k - 1, k] if k < n_ref else k - 1, axis=1)
+        # One kth value: NumPy partitions several kth values far more slowly.
+        part = np.argpartition(sq, k if k < n_ref else k - 1, axis=1)
+        cand = part[:, :k]
         # A reference row can beat or tie the k-th candidate only if its
         # expanded value is within twice the bound of the k-th one.
-        limit = sq[rows, part[:, k - 1]] + 2.0 * _sq_error_bound(d, q_sq, ref_max)
-        cand = part[:, :k]
+        limit = sq[rows[:, None], cand].max(axis=1) + 2.0 * _sq_error_bound(d, q_sq, ref_max)
         ex = _exact_sq(chunk, reference, cand)
         order = np.lexsort((cand, ex))
         out = slice(start, start + chunk.shape[0])

@@ -136,6 +136,20 @@ class TestDciScores:
         got = dci_scores(labels, distances, n_classes, params)
         assert got.tobytes() == loop_dci(labels, distances, n_classes, params).tobytes()
 
+    @pytest.mark.parametrize("cells", [1, 1 << 16])
+    def test_absent_class_ids_and_empty_batches(self, rng, monkeypatch, cells):
+        # Class ids below, between and above the ones the neighbours hold
+        # change no bit, and a batch of no rows gives no scores.
+        monkeypatch.setattr(dci, "_SUM_CELLS", cells)
+        params = DciParams(k=8, alpha=1.5, beta=1.2)
+        labels = rng.choice([2, 5, 6], size=(20, 8))
+        distances = np.round(rng.uniform(0.0, 3.0, size=(20, 8)), 1)
+        got = dci_scores(labels, distances, 11, params)
+        assert got.tobytes() == loop_dci(labels, distances, 11, params).tobytes()
+        assert got.tobytes() == dci_scores(labels, distances, 7, params).tobytes()
+        empty = dci_scores(np.empty((0, 8), dtype=np.int64), np.empty((0, 8)), 11, params)
+        assert empty.shape == (0,)
+
     def test_zero_distance_neighbour_dominates(self):
         # A neighbour sitting exactly on the query point pushes its class.
         labels = np.array([[0, 1, 1, 1]])

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import make_classification, make_regression
 from dci_lab import models
+from dci_lab.dataset import one_hot
 from dci_lab.models import (
     CLASSIFICATION,
     REGRESSION,
@@ -27,6 +28,7 @@ from dci_lab.models import (
     predict,
     regression_std_uncertainty,
 )
+from dci_lab.synthetic import census_income
 
 _LEAF = -1
 
@@ -158,13 +160,13 @@ class TestTreeOracle:
             ds = make_regression(X, y)
         ensemble = fit_ensemble(ds, config)
         queries = np.random.default_rng(case).uniform(-1.0, 8.0, size=(25, X.shape[1]))
+        per_member = predict(ensemble, queries).per_member
         for t, tree in enumerate(ensemble.trees):
             boot = np.random.default_rng(config.seed + t).integers(0, len(y), size=len(y))
             ref = ref_grow(X[boot], y[boot], task, n_classes, config)
             assert_tree_matches(tree, ref)
-            got = tree.apply(queries)
             want = np.stack([ref_apply_row(ref, q) for q in queries])
-            assert np.array_equal(got, want)
+            assert np.array_equal(per_member[t], want if task == CLASSIFICATION else want[:, 0])
 
     @pytest.mark.parametrize("case", range(6))
     def test_real_valued_regression_matches_reference(self, case):
@@ -206,6 +208,54 @@ class TestTreeOracle:
         boot = np.random.default_rng(3).integers(0, 12, size=12)
         want = np.bincount(y[boot], minlength=2) / 12
         assert np.array_equal(tree.value[0], want)
+
+
+def census_like_case():
+    # One-hot census columns: most positions lie inside runs of equal
+    # values, so only a few boundaries are scored.
+    ds = one_hot(census_income(240, 5))
+    return ds.features, ds.labels, ds.class_count, EnsembleConfig(n_trees=3, min_leaf=2, seed=8)
+
+
+def real_regression_case():
+    X, _, _, config = random_case(3007, REGRESSION)
+    y = np.random.default_rng(3).normal(size=len(X)) * 10.0 + 0.3
+    return X, y, 0, config
+
+
+class TestDescent:
+    @pytest.fixture(
+        scope="class", params=[census_like_case, real_regression_case], ids=["census_like", "real_regression"]
+    )
+    def fitted(self, request):
+        X, y, n_classes, config = request.param()
+        task = REGRESSION if n_classes == 0 else CLASSIFICATION
+        ds = make_regression(X, y) if task == REGRESSION else make_classification(X, y)
+        ensemble = fit_ensemble(ds, config)
+        refs = []
+        for t in range(config.n_trees):
+            boot = np.random.default_rng(config.seed + t).integers(0, len(y), size=len(y))
+            refs.append(ref_grow(X[boot], y[boot], task, n_classes, config))
+        # Training rows, rows between them, and rows sitting on thresholds.
+        rng = np.random.default_rng(1)
+        on = X[:20].copy()
+        split = ensemble.feature != _LEAF
+        pick = rng.integers(0, split.sum(), size=len(on))
+        on[np.arange(len(on)), ensemble.feature[split][pick]] = ensemble.threshold[split][pick]
+        queries = np.concatenate([X, 0.5 * (X[:-1] + X[1:]), on])
+        return ensemble, refs, queries
+
+    @pytest.mark.parametrize("cells", [1, 7, models._DESCENT_CELLS])  # 7: a few rows a block, the last one short
+    def test_members_equal_reference_walks(self, fitted, cells, monkeypatch):
+        monkeypatch.setattr(models, "_DESCENT_CELLS", cells)
+        ensemble, refs, queries = fitted
+        per_member = predict(ensemble, queries).per_member
+        for t, ref in enumerate(refs):
+            want = np.stack([ref_apply_row(ref, q) for q in queries])
+            assert np.array_equal(per_member[t], want if ensemble.task == CLASSIFICATION else want[:, 0])
+        assert predict(ensemble, queries[:0]).per_member.shape == (len(refs), 0) + per_member.shape[2:]
+        assert np.array_equal(predict(ensemble, queries[:1]).per_member, per_member[:, :1])
+        assert np.array_equal(predict(ensemble, queries[5]).per_member, per_member[:, 5])
 
 
 class TestEnsembleBehavior:
