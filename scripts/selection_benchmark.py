@@ -1,6 +1,6 @@
 """Compare selection strategies on one of the built-in pools, library-side.
 
-A quick-look companion to `dci-lab simulate`: runs each strategy for a few
+A quick-look companion to `dci-lab simulate`: runs the strategies for a few
 seeds and prints the final-round metric per strategy. Scale is set by the
 flags, so a full preset-sized benchmark and a 30-second smoke run use the
 same code path.
@@ -54,16 +54,10 @@ def main() -> None:
     test_size = args.test_size if args.test_size is not None else ds.n_rows // 4
     params = DciParams(k=args.k, alpha=args.alpha, beta=args.beta)
 
-    print(
-        f"{args.pool}: {ds.n_rows} rows, metric {metric}, "
-        f"schedule {args.initial} + {args.additions} x {args.updates}, "
-        f"{args.seeds} seeds"
-    )
-    for label in args.strategies.split(","):
-        strategy = parse_strategy(label.strip(), params)
-        config = ExperimentConfig(
+    configs = [
+        ExperimentConfig(
             dataset=ds,
-            strategy=strategy,
+            strategy=parse_strategy(label.strip(), params),
             model=ModelConfig(kind="ensemble", n_trees=args.trees),
             metric=metric,
             initial_train_size=args.initial,
@@ -72,14 +66,20 @@ def main() -> None:
             n_seeds=args.seeds,
             test_size=test_size,
         )
-        t0 = time.perf_counter()
-        curves = run_many(config)
-        final = [c.points[-1][1] for c in curves]
-        last = [r for r in aggregate(curves) if r.train_size == curves[0].points[-1][0]]
-        print(
-            f"  {label:28s} final {metric} mean {np.mean(final):.4f} "
-            f"median {last[0].median:.4f} ({time.perf_counter() - t0:.1f}s)"
-        )
+        for label in args.strategies.split(",")
+    ]
+    t0 = time.perf_counter()
+    curves = run_many(configs)
+    print(
+        f"{args.pool}: {ds.n_rows} rows, metric {metric}, "
+        f"schedule {args.initial} + {args.additions} x {args.updates}, "
+        f"{args.seeds} seeds ({time.perf_counter() - t0:.1f}s)"
+    )
+    finals = {r.strategy: r for r in aggregate(curves)}  # each label's last row is its final size
+    for config in configs:
+        label = config.strategy.label
+        final = [c.points[-1][1] for c in curves if c.strategy == label]
+        print(f"  {label:28s} final {metric} mean {np.mean(final):.4f} median {finals[label].median:.4f}")
 
 
 if __name__ == "__main__":

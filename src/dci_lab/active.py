@@ -12,9 +12,9 @@ the live labelled set, which needs no training at all.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -292,9 +292,8 @@ class _BoundaryModel:
         task = CLASSIFICATION if self.train.is_classification else "regression"
         return EnsemblePrediction(per_member=out[None], aggregate=out, task=task)
 
-    def uncertainty(self, X: np.ndarray) -> np.ndarray:
-        pred = self._predict(X)
-        return np.asarray(UNCERTAINTY[self.config.strategy.kind](pred), dtype=np.float64)
+    def uncertainty(self, X: np.ndarray, kind: str) -> np.ndarray:
+        return np.asarray(UNCERTAINTY[kind](self._predict(X)), dtype=np.float64)
 
     def evaluate(
         self, test_X: np.ndarray, test_y: np.ndarray, neighbors: np.ndarray | None = None
@@ -308,42 +307,97 @@ class _BoundaryModel:
         return accuracy(pred.aggregate.argmax(axis=1), test_y)
 
 
-def run_experiment(config: ExperimentConfig, seed: int) -> LearningCurve:
-    """One seeded simulation producing n_updates + 1 curve points."""
-    ds = config.dataset
-    rng_split = np.random.default_rng([seed, _STREAM_SPLIT])
-    rng_select = np.random.default_rng([seed, _STREAM_SELECT])
+_Lists = tuple[np.ndarray, np.ndarray]
 
-    perm = rng_split.permutation(ds.n_rows)
+
+def _boundary(
+    config: ExperimentConfig,
+    seed: int,
+    update: int,
+    lab_X: np.ndarray,
+    labelled: np.ndarray,
+    test_X: np.ndarray,
+    test_y: np.ndarray,
+    test_nbrs: _Lists,
+) -> tuple[_BoundaryModel, float, _Lists]:
+    """Fit the model of one update boundary on the labelled rows and score it.
+
+    Returns the model, its test metric and the kNN model's test-row
+    neighbour lists into ``lab_X``, as indices and squared distances:
+    ``test_nbrs`` are the lists of the boundary before, extended with the
+    rows labelled since, which leaves them equal to a fresh search.
+    """
+    model = _BoundaryModel(config, config.dataset.select_rows(labelled), _model_seed(seed, update))
+    neighbors = None
+    if config.model.kind == "knn":
+        n_seen = labelled.size - config.additions_per_update if update else 0
+        test_nbrs = extend_neighbors(test_X, lab_X, n_seen, *test_nbrs, config.model.knn_k)
+        neighbors = test_nbrs[0]
+    return model, model.evaluate(test_X, test_y, neighbors), test_nbrs
+
+
+class _SeedStart(NamedTuple):
+    """One seed's split and first update boundary, shared by every strategy:
+    the test rows, the initial labelled rows, the sorted unlabelled pool,
+    and the first boundary's model, metric value and test-row lists."""
+
+    test_X: np.ndarray
+    test_y: np.ndarray
+    labelled: np.ndarray
+    unlabelled: np.ndarray
+    model: _BoundaryModel
+    value: float
+    test_nbrs: _Lists
+
+
+def _seed_start(config: ExperimentConfig, seed: int) -> _SeedStart:
+    ds = config.dataset
+    perm = np.random.default_rng([seed, _STREAM_SPLIT]).permutation(ds.n_rows)
     test_idx = perm[: config.test_size]
+    n_held = config.test_size + config.initial_train_size
+    labelled = perm[config.test_size : n_held]
+    test_X, test_y = ds.features[test_idx], ds.labels[test_idx]
+    empty = (np.empty((config.test_size, 0), dtype=np.int64), np.empty((config.test_size, 0)))
+    first = _boundary(config, seed, 0, ds.features[labelled], labelled, test_X, test_y, empty)
+    return _SeedStart(test_X, test_y, labelled, np.sort(perm[n_held:]), *first)
+
+
+def run_experiment(config: ExperimentConfig, seed: int, start: _SeedStart | None = None) -> LearningCurve:
+    """One seeded simulation producing n_updates + 1 curve points.
+
+    ``start`` is the seed's split and first boundary when already computed
+    for another strategy; by default it is computed here.
+    """
+    ds = config.dataset
+    if start is None:
+        start = _seed_start(config, seed)
+    rng_select = np.random.default_rng([seed, _STREAM_SELECT])
     # The labelled set lives in preallocated buffers that picks append to in
     # place; selection reads views of their first n_lab rows.
     n_lab = config.initial_train_size
     n_final = n_lab + config.n_updates * config.additions_per_update
     labelled = np.empty(n_final, dtype=np.intp)
-    labelled[:n_lab] = perm[config.test_size : config.test_size + n_lab]
+    labelled[:n_lab] = start.labelled
     lab_X = np.empty((n_final, ds.n_features))
-    lab_X[:n_lab] = ds.features[labelled[:n_lab]]
-    unlabelled = np.sort(perm[config.test_size + n_lab :])
+    lab_X[:n_lab] = ds.features[start.labelled]
+    unlabelled = start.unlabelled
 
     # Impurity scoring always needs class ids; for a numeric label the
     # distinct values over the whole dataset act as the classes.
     codes, n_classes = ds.class_codes
-    test_X = ds.features[test_idx]
-    test_y = ds.labels[test_idx]
     strategy = config.strategy
     use_pca = strategy.pca_components > 0
-    # The kNN model's test-row neighbour lists into lab_X, as indices and
-    # squared distances; each boundary extends them with the rows labelled
-    # since the one before (n_seen), which leaves them equal to a fresh search.
-    test_nbrs = (np.empty((config.test_size, 0), dtype=np.int64), np.empty((config.test_size, 0)))
-    n_seen = 0
+    boundary, value, test_nbrs = start.model, start.value, start.test_nbrs
 
     points: list[tuple[int, float]] = []
     for update in range(config.n_updates + 1):
-        boundary = _BoundaryModel(
-            config, ds.select_rows(labelled[:n_lab]), _model_seed(seed, update)
-        )
+        if update:
+            boundary, value, test_nbrs = _boundary(
+                config, seed, update, lab_X[:n_lab], labelled[:n_lab], start.test_X, start.test_y, test_nbrs
+            )
+        points.append((n_lab, value))
+        if update == config.n_updates:
+            break
         pca = None
         proj = None
         if use_pca:
@@ -351,16 +405,6 @@ def run_experiment(config: ExperimentConfig, seed: int) -> LearningCurve:
             pca = pca_fit(lab_X[:n_lab], n_comp)
             proj = np.empty((n_final, n_comp))
             proj[:n_lab] = pca_project(pca, lab_X[:n_lab])
-        neighbors = None
-        if config.model.kind == "knn":
-            test_nbrs = extend_neighbors(
-                test_X, lab_X[:n_lab], n_seen, *test_nbrs, config.model.knn_k
-            )
-            n_seen = n_lab
-            neighbors = test_nbrs[0]
-        points.append((n_lab, boundary.evaluate(test_X, test_y, neighbors)))
-        if update == config.n_updates:
-            break
         for _ in range(config.additions_per_update):
             ctx = SelectionContext(
                 features=ds.features,
@@ -371,7 +415,7 @@ def run_experiment(config: ExperimentConfig, seed: int) -> LearningCurve:
                 batch_size=config.candidate_batch_size,
                 pca=pca,
                 proj_labelled=None if proj is None else proj[:n_lab],
-                model_score=(lambda cands: boundary.uncertainty(ds.features[cands]))
+                model_score=(lambda cands: boundary.uncertainty(ds.features[cands], strategy.kind))
                 if strategy.tag == MODEL_UNCERTAINTY
                 else None,
             )
@@ -388,21 +432,37 @@ def run_experiment(config: ExperimentConfig, seed: int) -> LearningCurve:
     )
 
 
-def _run_one(args: tuple[ExperimentConfig, int]) -> LearningCurve:
-    return run_experiment(*args)
+def _run_seed(args: tuple[list[ExperimentConfig], int]) -> list[LearningCurve]:
+    configs, seed = args
+    start = _seed_start(configs[0], seed)
+    return [run_experiment(config, seed, start) for config in configs]
 
 
 def run_many(
-    config: ExperimentConfig, base_seed: int = 0, threads: int = 1
+    configs: Sequence[ExperimentConfig], base_seed: int = 0, threads: int = 1
 ) -> list[LearningCurve]:
-    """n_seeds independent experiments with seeds base_seed, base_seed+1, ..."""
-    seeds = [base_seed + i for i in range(config.n_seeds)]
-    if threads > 1 and len(seeds) > 1:
+    """n_seeds independent experiments per config, with seeds base_seed,
+    base_seed+1, ...; the curves come config by config, seed by seed.
+
+    The configs may differ only in strategy: each seed's split and first
+    update boundary are computed once and shared by all of them.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ValueError("no experiment configs")
+    first = configs[0]
+    for config in configs:
+        if config.dataset is not first.dataset or replace(config, strategy=first.strategy) != first:
+            raise ValueError("the experiment configs may differ only in strategy")
+    tasks = [(configs, base_seed + i) for i in range(first.n_seeds)]
+    if threads > 1 and len(tasks) > 1:
         # Never more workers than seeds: with the fork start method the pool
         # forks every worker up front, whether or not it gets a task.
-        with ProcessPoolExecutor(max_workers=min(threads, len(seeds))) as pool:
-            return list(pool.map(_run_one, [(config, s) for s in seeds]))
-    return [run_experiment(config, s) for s in seeds]
+        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
+            per_seed = list(pool.map(_run_seed, tasks))
+    else:
+        per_seed = [_run_seed(task) for task in tasks]
+    return [curves[j] for j in range(len(configs)) for curves in per_seed]
 
 
 def aggregate(curves: Sequence[LearningCurve]) -> list[SummaryRow]:

@@ -21,7 +21,6 @@ import numpy as np
 from . import __version__, synthetic
 from .active import (
     ExperimentConfig,
-    LearningCurve,
     aggregate,
     check_uncertainty,
     run_many,
@@ -90,8 +89,9 @@ class RunManifest:
 def dataset_fingerprint(ds: Dataset) -> str:
     h = hashlib.sha256()
     h.update(str(ds.features.shape).encode())
-    h.update(np.ascontiguousarray(ds.features).tobytes())
-    h.update(np.ascontiguousarray(ds.labels).tobytes())
+    # Contiguous arrays are hashed through their buffers, without a copy.
+    h.update(np.ascontiguousarray(ds.features))
+    h.update(np.ascontiguousarray(ds.labels))
     return h.hexdigest()
 
 
@@ -194,10 +194,9 @@ def cmd_simulate(cfg: Cfg, out_dir: Path, seed: int, threads: int) -> None:
     params = build_dci_params(cfg)
     model = build_model_config(cfg)
     strategies = parse_strategies(cfg, params)
-    curves: list[LearningCurve] = []
-    for strategy in strategies:
-        try:
-            exp = ExperimentConfig(
+    try:
+        exps = [
+            ExperimentConfig(
                 dataset=ds,
                 strategy=strategy,
                 model=model,
@@ -209,9 +208,11 @@ def cmd_simulate(cfg: Cfg, out_dir: Path, seed: int, threads: int) -> None:
                 candidate_batch_size=cfg.int("experiment.candidate_batch_size", 5),
                 test_size=cfg.int("experiment.test_size"),
             )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        curves.extend(run_many(exp, base_seed=seed, threads=threads))
+            for strategy in strategies
+        ]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    curves = run_many(exps, base_seed=seed, threads=threads)
     write_curves_csv(out_dir / "curves.csv", curves)
     write_summary_csv(out_dir / "summary.csv", aggregate(curves))
     manifest = RunManifest(

@@ -383,7 +383,8 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
         raise DataError(f"{labels_path}: truncated file")
     labels = np.frombuffer(lab_buf, dtype=np.uint8, count=count, offset=8).astype(np.int64)
 
-    features = pixels.reshape(count, rows * cols).astype(np.float64) / 255.0
+    features = pixels.reshape(count, rows * cols).astype(np.float64)
+    features /= 255.0  # in place: one pool-sized array, not two
     n_classes = max(10, int(labels.max()) + 1) if count else 10
     specs = tuple(ColumnSpec(f"px{i}", KIND_NUMERIC) for i in range(rows * cols))
     specs = specs + (ColumnSpec("label", KIND_LABEL_CLASS),)

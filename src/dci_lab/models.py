@@ -145,45 +145,48 @@ def _best_splits(
     """(feature, position, sorted rows) of each node's best split.
 
     ``rows`` is (K, m): node k's training rows in node order, padded past
-    n[k]; ``ranks`` is (d, n_rows), equal values sharing a rank. Per node
-    and feature this sorts the rows stably, by (value, position in the
-    node), into the (K, d, m) sorted rows, and scores only the midpoints
-    between unequal values that leave min_leaf rows on each side; pads sort
-    last and are never scored. Each scored cell sees the same operations in
-    the same order as a search on its node alone, so batching changes no
-    bit. Ties resolve to the lowest (feature index, threshold) because
-    argmin scans each node's feature-major scores front to back. Position
-    -1 marks no valid split.
+    n[k]; ``ranks`` is (d, n_rows), equal values sharing a rank. Per feature
+    and node this sorts the rows stably, by (value, position in the node),
+    into the (d, K, m) sorted rows, and scores only the midpoints between
+    unequal values that leave min_leaf rows on each side; pads sort last and
+    are never scored. Each scored cell sees the same operations in the same
+    order as a search on its node alone, so batching changes no bit. Ties
+    resolve to the lowest (feature index, threshold), as a front-to-back
+    argmin over each node's feature-major scores would. Position -1 marks
+    no valid split.
     """
     K, m = rows.shape
     d, n_rows = ranks.shape
-    shift = (m - 1).bit_length()
-    stored = np.take(ranks, rows, axis=1)  # (d, K, m): a plain take is the fastest gather
-    key = stored.transpose(1, 0, 2)
-    np.copyto(key, n_rows, where=(np.arange(m) >= n[:, None])[:, None, :])
+    shift = (K * m - 1).bit_length()
+    key = np.take(ranks, rows, axis=1)  # (d, K, m): a plain take is the fastest gather
+    np.copyto(key, n_rows, where=np.arange(m) >= n[:, None])
     key <<= shift
-    key |= np.arange(m)  # (rank, position) packed: keys are distinct, so any sort is stable
-    order = np.argsort(key, axis=-1)
-    sorted_key = stored.ravel()[order + m * (np.arange(K)[:, None, None] + K * np.arange(d)[:, None])]
-    sorted_rows = rows.ravel()[order + (m * np.arange(K))[:, None, None]]
+    key |= np.arange(K * m).reshape(K, m)
+    # Each key packs (rank, index into rows): within a line the index orders
+    # rows by position, and keys are distinct, so sorting them in place
+    # gives the permutation a stable argsort would, in the low bits.
+    key.sort(axis=-1)
+    sorted_rows = rows.ravel()[key & ((1 << shift) - 1)]
     ys = y[sorted_rows]
-    # Cells at value boundaries inside the min_leaf range, by (K, d, m - 1)
-    # index; a line is one (node, feature) pair, and at and end index row j
-    # and the line's last row in (K, d, m).
-    rank = sorted_key >> shift
+    rank = key
+    rank >>= shift
+    # Cells at value boundaries inside the min_leaf range, by (d, K, m - 1)
+    # index; a line is one (feature, node) pair, and at and end index row j
+    # and the line's last row in (d, K, m).
     j = np.arange(m - 1)
-    stuck = rank[..., :-1] == rank[..., 1:]
-    stuck |= ((j < min_leaf - 1) | (j >= (n - min_leaf)[:, None]))[:, None, :]
-    cell = np.flatnonzero(~stuck)
+    scored = rank[..., :-1] != rank[..., 1:]
+    scored &= (j >= min_leaf - 1) & (j < (n - min_leaf)[:, None])
+    cell = np.flatnonzero(scored)
     line, j = np.divmod(cell, m - 1)
-    at, end = cell + line, (m * np.arange(K * d) + np.repeat(n - 1, d))[line]
+    n_line = np.tile(n, d)[line]
+    at, end = cell + line, m * line + n_line - 1
     inv = 1.0 / np.arange(1.0, m + 1)  # inv[c - 1] = 1 / c
     inv_nl, inv_nr = inv[j], inv[end - at - 1]
     if task == CLASSIFICATION:
         # Minimizing summed child Gini equals maximizing sum of squared
         # class counts over child size; the constant parent terms drop out.
         # Counts are exact in float64; the last class gets what is left.
-        seen_at, seen_end = j + 1.0, np.repeat(n + 0.0, d)[line]
+        seen_at, seen_end = j + 1.0, n_line + 0.0
         score = np.zeros(cell.size)
         for c in range(n_classes):
             if c == n_classes - 1:
@@ -201,11 +204,16 @@ def _best_splits(
         score = (css[at] - cs[at] ** 2 * inv_nl) + (
             (css[end] - css[at]) - (cs[end] - cs[at]) ** 2 * inv_nr
         )
-    flat = np.full((K, d * (m - 1)), np.inf)
-    flat.ravel()[cell] = score
-    best = flat.argmin(axis=1)
-    feature, pos = np.divmod(best, m - 1)
-    pos[~np.isfinite(flat[np.arange(K), best])] = -1
+    grid = np.full((d, K, m - 1), np.inf)
+    grid.ravel()[cell] = score
+    # The first minimum of each line, then the first feature holding the
+    # node's minimum: the first minimum in feature-major order.
+    pos = grid.argmin(axis=2)
+    low = grid.reshape(d * K, m - 1)[np.arange(d * K), pos.ravel()].reshape(d, K)
+    feature = low.argmin(axis=0)
+    node = np.arange(K)
+    pos = pos[feature, node]
+    pos[~np.isfinite(low[feature, node])] = -1
     return feature, pos, sorted_rows
 
 
@@ -245,15 +253,17 @@ def _grow_trees(
             n = sizes[batch]
             at = np.minimum(np.arange(m), n[:, None] - 1) + starts[batch][:, None]
             f, pos, sorted_rows = _best_splits(ranks, y, rows[at], n, task, n_classes, config.min_leaf)
-            ok = pos >= 0
-            f, pos, n, chosen = f[ok], pos[ok], n[ok], sorted_rows[ok, f[ok]]
-            below = X[chosen[np.arange(n.size), pos], f]
-            above = X[chosen[np.arange(n.size), pos + 1], f]
-            thr = 0.5 * (below + above)
-            thr = np.where(thr >= above, below, thr)  # midpoint rounded up
-            sizes_lr = np.column_stack([pos + 1, n - pos - 1]).ravel()
-            found.append((batch[ok], f, thr, sizes_lr, chosen[np.arange(m) < n[:, None]]))
-        at, f, thr, sizes_lr, rows_lr = (np.concatenate(p) for p in zip(*found)) if found else [ids[:0]] * 5
+            ok = np.flatnonzero(pos >= 0)
+            chosen = sorted_rows[f[ok], ok]
+            found.append((batch[ok], f[ok], pos[ok], chosen[np.arange(m) < n[ok, None]]))
+        at, f, pos, rows_lr = (np.concatenate(p) for p in zip(*found)) if found else [ids[:0]] * 4
+        # Children's rows lie split node after split node in rows_lr.
+        n = sizes[at]
+        first = np.cumsum(n) - n + pos
+        below, above = X[rows_lr[first], f], X[rows_lr[first + 1], f]
+        thr = 0.5 * (below + above)
+        thr = np.where(thr >= above, below, thr)  # midpoint rounded up
+        sizes_lr = np.column_stack([pos + 1, n - pos - 1]).ravel()
         leaf = np.ones(ids.size, dtype=bool)
         leaf[at] = False
         if task == CLASSIFICATION:

@@ -107,13 +107,17 @@ def pairwise_sq_distances(queries: np.ndarray, reference: np.ndarray) -> np.ndar
     return out
 
 
-def _exact_sq(chunk: np.ndarray, reference: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """sum((chunk[i] - reference[cols[i, j]])^2) per (i, j), in cache-sized blocks."""
+def _exact_sq(
+    queries: np.ndarray, reference: np.ndarray, cols: np.ndarray, rows: np.ndarray | None = None
+) -> np.ndarray:
+    """sum((queries[rows[i]] - reference[cols[i, j]])^2) per (i, j), in
+    cache-sized blocks; ``rows`` defaults to 0, 1, ... Both sides are
+    gathered one block at a time."""
     out = np.empty(cols.shape)
     step = max(1, _PAIR_BLOCK // max(1, cols.shape[1] * reference.shape[1]))
     for s in range(0, cols.shape[0], step):
         diff = reference[cols[s : s + step]]
-        diff -= chunk[s : s + step, None, :]
+        diff -= (queries[s : s + step] if rows is None else queries[rows[s : s + step]])[:, None, :]
         flat = diff.reshape(-1, diff.shape[-1])
         out[s : s + step] = np.einsum("ij,ij->i", flat, flat).reshape(diff.shape[:2])
     return out
@@ -273,7 +277,7 @@ def extend_neighbors(
         # Merge each row's list with the appended rows, those not
         # shortlisted at inf so that they sort last.
         sq.fill(np.inf)
-        sq[rows, cols] = _exact_sq(chunk[rows], new, cols[:, None])[:, 0]
+        sq[rows, cols] = _exact_sq(chunk, new, cols[:, None], rows)[:, 0]
         m_sq = np.hstack([sq_distances[out], sq])
         m_idx = np.hstack([indices[out], np.broadcast_to(np.arange(start, n_ref), sq.shape)])
         order = np.lexsort((m_idx, m_sq))[:, :k]

@@ -21,6 +21,7 @@ from dci_lab.active import (
     write_summary_csv,
 )
 from dci_lab.dci import DciParams
+from dci_lab.models import fit_ensemble
 
 
 def two_blob_dataset(rng, n_per=40, gap=8.0):
@@ -341,9 +342,9 @@ class TestRunMany:
             n_seeds=3,
             test_size=10,
         )
-        curves = run_many(config, base_seed=40)
+        curves = run_many([config], base_seed=40)
         assert [c.seed for c in curves] == [40, 41, 42]
-        again = run_many(config, base_seed=40)
+        again = run_many([config], base_seed=40)
         assert curves == again
 
     @pytest.mark.parametrize("threads, n_seeds, workers", [(64, 2, 2), (2, 3, 2)])
@@ -376,10 +377,66 @@ class TestRunMany:
             n_seeds=n_seeds,
             test_size=10,
         )
-        curves = run_many(config, base_seed=7, threads=threads)
+        curves = run_many([config], base_seed=7, threads=threads)
         assert sizes == [workers]
-        assert curves == run_many(config, base_seed=7, threads=1)
+        assert curves == run_many([config], base_seed=7, threads=1)
         assert sizes == [workers]
+
+
+def strategy_configs(ds, model, **schedule):
+    """One config per kind of strategy, the same schedule for all."""
+    params = DciParams(k=3)
+    strategies = [
+        Strategy(tag="random"),
+        Strategy(tag="dci-high", dci_params=params),
+        Strategy(tag="dci-low", dci_params=params, pca_components=1),
+        Strategy(tag="model-uncertainty", kind="max_prob"),
+    ]
+    if model.kind == "ensemble":
+        strategies.append(Strategy(tag="model-uncertainty", kind="eq3_binary"))
+    return [ExperimentConfig(dataset=ds, strategy=s, model=model, **schedule) for s in strategies]
+
+
+SCHEDULE = dict(initial_train_size=6, additions_per_update=3, n_updates=3, n_seeds=3, test_size=12)
+
+
+class TestSharedStart:
+    @pytest.mark.parametrize(
+        "model", [ModelConfig(kind="knn", knn_k=3), ModelConfig(n_trees=4)], ids=["knn", "ensemble"]
+    )
+    def test_strategies_together_equal_each_alone(self, rng, model):
+        configs = strategy_configs(two_blob_dataset(rng), model, metric="auroc", **SCHEDULE)
+        together = run_many(configs, base_seed=3)
+        alone = [curve for config in configs for curve in run_many([config], base_seed=3)]
+        assert together == alone
+        assert together == [run_experiment(c, seed) for c in configs for seed in (3, 4, 5)]
+        assert [(c.strategy, c.seed) for c in together] == [
+            (c.strategy.label, seed) for c in configs for seed in (3, 4, 5)
+        ]
+
+    def test_first_committee_is_fitted_once_per_seed(self, rng, monkeypatch):
+        fits = []
+
+        def counting_fit(train, config):
+            fits.append((train.n_rows, config.seed))
+            return fit_ensemble(train, config)
+
+        monkeypatch.setattr(active, "fit_ensemble", counting_fit)
+        configs = strategy_configs(two_blob_dataset(rng), ModelConfig(n_trees=3), **SCHEDULE)
+        run_many(configs, base_seed=0)
+        n_seeds, n_updates = SCHEDULE["n_seeds"], SCHEDULE["n_updates"]
+        assert len(fits) == n_seeds * (1 + len(configs) * n_updates)
+        first = [f for f in fits if f[0] == SCHEDULE["initial_train_size"]]
+        assert len(first) == len(set(first)) == n_seeds
+
+    def test_configs_may_differ_only_in_strategy(self, rng):
+        ds = two_blob_dataset(rng)
+        config = ExperimentConfig(dataset=ds, strategy=Strategy(tag="random"), **SCHEDULE)
+        other = ExperimentConfig(dataset=ds, strategy=Strategy(tag="random"), **dict(SCHEDULE, test_size=11))
+        copy = ExperimentConfig(dataset=two_blob_dataset(rng), strategy=Strategy(tag="random"), **SCHEDULE)
+        for bad in ([], [config, other], [config, copy]):
+            with pytest.raises(ValueError):
+                run_many(bad)
 
 
 class TestModelConfig:

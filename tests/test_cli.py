@@ -6,11 +6,11 @@ import json
 import numpy as np
 import pytest
 
-from dci_lab.cli import main
-from dci_lab.dataset import apply_standardization, standardization_stats
+from dci_lab.cli import dataset_fingerprint, main
+from dci_lab.dataset import apply_standardization, load_idx, one_hot, standardization_stats, write_idx
 from dci_lab.dci import DciParams, dci_scores
 from dci_lab.neighbors import nearest_neighbors
-from dci_lab.synthetic import three_class_points
+from dci_lab.synthetic import census_income, three_class_points, wine_quality
 
 
 def write_cfg(path, **pairs):
@@ -162,6 +162,25 @@ class TestSimulate:
         assert len(manifest["dataset"]["sha256"]) == 64
         assert set(manifest["outputs"]) == {"random", "dci-high"}
 
+    @pytest.mark.parametrize("model", ["knn", "ensemble"])
+    def test_strategies_together_equal_each_alone(self, tmp_path, model):
+        # Every strategy of one run shares each seed's split and first
+        # boundary; its rows must be those of a run of that strategy alone.
+        labels = ["random", "dci-high", "dci-low-pca1", "uncertainty-max_prob"]
+        pairs = dict(SIM_PAIRS, **{"model.kind": model, "model.n_trees": "3"})
+        together = tmp_path / "all"
+        cfg = write_cfg(tmp_path / "all.cfg", **dict(pairs, strategies=",".join(labels)))
+        assert main(["simulate", "--config", cfg, "--seed", "5", "--out", str(together)]) == 0
+        rows, summary = ["strategy,seed,train_size,metric,value"], ["strategy,train_size,mean,median,q25,q75"]
+        for label in labels:
+            out = tmp_path / label
+            cfg = write_cfg(tmp_path / f"{label}.cfg", **dict(pairs, strategies=label))
+            assert main(["simulate", "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
+            rows += (out / "curves.csv").read_text().splitlines()[1:]
+            summary += (out / "summary.csv").read_text().splitlines()[1:]
+        assert (together / "curves.csv").read_text() == "\n".join(rows) + "\n"
+        assert (together / "summary.csv").read_text() == "\n".join(summary) + "\n"
+
     def test_seed_changes_results(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", **SIM_PAIRS)
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -195,6 +214,29 @@ class TestSimulate:
         cfg = write_cfg(tmp_path / "c.cfg", **pairs)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
+
+
+class TestDatasetFingerprint:
+    # Digests of fixed pools, taken when the arrays were hashed through
+    # byte copies; hashing their buffers must give the same bytes.
+    @pytest.mark.parametrize(
+        "pool, digest",
+        [
+            ("idx", "6ff2af4663e0f4d778e2a372121b48b6c64154d66efe43813ac92b2f69708b25"),
+            ("census", "16946aa5721a1e6403b2dbe5e1a8d8cacbe33c93457e12af3cfe1ab0b04aa50e"),
+            ("wine", "d5712a3bfe3b08ede1f0995d78051671f257cb919de5be6926e9eacb02386675"),
+        ],
+    )
+    def test_hash_of_a_fixed_pool_is_unchanged(self, tmp_path, pool, digest):
+        if pool == "idx":
+            images = (np.arange(7 * 4 * 5) * 37 % 256).astype(np.uint8).reshape(7, 4, 5)
+            write_idx(images, np.arange(7) % 10, tmp_path / "i.idx", tmp_path / "l.idx")
+            ds = load_idx(tmp_path / "i.idx", tmp_path / "l.idx")
+        elif pool == "census":
+            ds = one_hot(census_income(50, 1))
+        else:
+            ds = wine_quality(40, 2)
+        assert dataset_fingerprint(ds) == digest
 
 
 class TestAnalyze:

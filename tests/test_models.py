@@ -179,6 +179,27 @@ class TestTreeOracle:
             boot = np.random.default_rng(config.seed + t).integers(0, len(y), size=len(y))
             assert_tree_matches(tree, ref_grow(X[boot], y[boot], REGRESSION, 0, config))
 
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    def test_one_hot_census_pool_matches_reference(self, task, min_leaf):
+        # Two-valued one-hot columns put most rows inside long runs of tied
+        # values, and each bootstrap repeats rows. With the real-valued label
+        # every regression sum is order-sensitive, which pins the row order
+        # inside each node.
+        ds = one_hot(census_income(300, 6))
+        X = ds.features
+        if task == CLASSIFICATION:
+            y, n_classes = ds.labels, ds.class_count
+        else:
+            y, n_classes = np.random.default_rng(2).normal(size=len(X)) * 10.0 + 0.3, 0
+            ds = make_regression(X, y)
+        config = EnsembleConfig(n_trees=3, min_leaf=min_leaf, seed=5)
+        ensemble = fit_ensemble(ds, config)
+        for t, tree in enumerate(ensemble.trees):
+            boot = np.random.default_rng(config.seed + t).integers(0, len(y), size=len(y))
+            assert len(np.unique(boot)) < len(y)
+            assert_tree_matches(tree, ref_grow(X[boot], y[boot], task, n_classes, config))
+
     @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
     def test_shared_batches_match_trees_grown_alone(self, task, monkeypatch):
         # Real-valued labels make the sums order-sensitive, and rounded

@@ -257,6 +257,25 @@ class TestExtendNeighbors:
         same = extend_neighbors(Q, R[:20], 20, idx, sq, 4)
         assert same[0].tolist() == idx.tolist()
 
+    def test_memory_stays_per_block(self, rng):
+        # Every appended row is nearer than each query's old lists, so every
+        # (query, appended row) pair is shortlisted; gathering a query row
+        # per pair up front would take pairs x d floats.
+        Q = rng.normal(size=(256, 64))
+        R = np.vstack([rng.normal(size=(10, 64)) + 50.0, rng.normal(size=(256, 64))])
+        idx, sq = extend_neighbors(Q, R[:10], 0, np.empty((256, 0), np.int64), np.empty((256, 0)), 5)
+        per_pair = Q.shape[0] * (R.shape[0] - 10) * Q.shape[1] * 8
+        tracemalloc.start()
+        try:
+            idx, sq = extend_neighbors(Q, R, 10, idx, sq, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < per_pair / 4
+        want_idx, want_dist = nearest_neighbors(Q, R, 5)
+        assert idx.tolist() == want_idx.tolist()
+        assert np.sqrt(sq).tobytes() == want_dist.tobytes()
+
     def test_validation(self, rng):
         R = rng.normal(size=(10, 2))
         Q = rng.normal(size=(3, 2))
