@@ -21,7 +21,7 @@ import numpy as np
 from .dataset import Dataset, PcaModel, pca_fit, pca_project
 from .dci import DciParams, dci_scores
 from .metrics import accuracy, auroc, rmse
-from .neighbors import extend_neighbors, nearest_neighbors
+from .neighbors import _sq_norms, extend_neighbors, nearest_neighbors
 from .models import (
     CLASSIFICATION,
     UNCERTAINTY,
@@ -29,7 +29,6 @@ from .models import (
     EnsemblePrediction,
     fit_ensemble,
     knn_from_labels,
-    knn_predict,
     predict,
 )
 
@@ -45,6 +44,9 @@ METRICS = ("auroc", "accuracy", "rmse")
 _STREAM_SPLIT = 0
 _STREAM_SELECT = 1
 _STREAM_MODEL = 2
+
+# Pool rows per block when carrying neighbour lists across a boundary.
+_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -209,7 +211,8 @@ class SelectionContext:
     ``model_score`` maps candidate pool indices to uncertainties using the
     model from the last update boundary; ``labelled``, ``labelled_features``
     (``features[labelled]``) and ``proj_labelled`` track the live labelled
-    set, which impurity scoring follows point by point.
+    set, which impurity scoring follows point by point. ``sq_norms``, when
+    given, holds the squared norms of the rows of ``features``.
     """
 
     features: np.ndarray
@@ -221,20 +224,24 @@ class SelectionContext:
     pca: PcaModel | None = None
     proj_labelled: np.ndarray | None = None
     model_score: Callable[[np.ndarray], np.ndarray] | None = None
+    sq_norms: np.ndarray | None = None
 
 
 def _dci_candidate_scores(
     ctx: SelectionContext, strategy: Strategy, candidates: np.ndarray
 ) -> np.ndarray:
     params = strategy.dci_params
+    q_sq = ref_sq = None
     if strategy.pca_components:
         ref = ctx.proj_labelled
         query = pca_project(ctx.pca, ctx.features[candidates])
     else:
         ref = ctx.labelled_features
         query = ctx.features[candidates]
-    idx, dist = nearest_neighbors(query, ref, params.k)
-    return dci_scores(ctx.codes[ctx.labelled][idx], dist, ctx.n_classes, params)
+        if ctx.sq_norms is not None:
+            q_sq, ref_sq = ctx.sq_norms[candidates], ctx.sq_norms[ctx.labelled]
+    idx, dist = nearest_neighbors(query, ref, params.k, q_sq=q_sq, ref_sq=ref_sq)
+    return dci_scores(ctx.codes[ctx.labelled[idx]], dist, ctx.n_classes, params)
 
 
 def select_next(
@@ -280,20 +287,19 @@ class _BoundaryModel:
         else:
             self.ensemble = None
 
-    def _predict(self, X: np.ndarray, neighbors: np.ndarray | None = None) -> EnsemblePrediction:
-        """Predictions for rows X; a kNN model given ``neighbors``, the rows'
-        neighbour lists into the training set, reads them instead of searching."""
+    def _predict(self, X: np.ndarray, neighbors: np.ndarray | None) -> EnsemblePrediction:
+        """Predictions for rows X. The kNN model reads them from
+        ``neighbors``, the rows' neighbour lists into the training set."""
         if self.ensemble is not None:
             return predict(self.ensemble, X)
-        if neighbors is None:
-            out = knn_predict(self.train, X, self.config.model.knn_k)
-        else:
-            out = knn_from_labels(self.train, self.train.labels[neighbors])
+        out = knn_from_labels(self.train, self.train.labels[neighbors])
         task = CLASSIFICATION if self.train.is_classification else "regression"
         return EnsemblePrediction(per_member=out[None], aggregate=out, task=task)
 
-    def uncertainty(self, X: np.ndarray, kind: str) -> np.ndarray:
-        return np.asarray(UNCERTAINTY[kind](self._predict(X)), dtype=np.float64)
+    def uncertainty(
+        self, X: np.ndarray, kind: str, neighbors: np.ndarray | None = None
+    ) -> np.ndarray:
+        return np.asarray(UNCERTAINTY[kind](self._predict(X, neighbors)), dtype=np.float64)
 
     def evaluate(
         self, test_X: np.ndarray, test_y: np.ndarray, neighbors: np.ndarray | None = None
@@ -310,39 +316,79 @@ class _BoundaryModel:
 _Lists = tuple[np.ndarray, np.ndarray]
 
 
+def _no_lists(n_rows: int) -> _Lists:
+    """Empty neighbour lists of ``n_rows`` rows, for the first boundary."""
+    return np.empty((n_rows, 0), dtype=np.int64), np.empty((n_rows, 0))
+
+
+def _extend_lists(
+    config: ExperimentConfig,
+    update: int,
+    rows: np.ndarray,
+    rows_sq: np.ndarray,
+    lab_X: np.ndarray,
+    lab_sq: np.ndarray,
+    lists: _Lists,
+) -> _Lists:
+    """The kNN model's neighbour lists of the pool rows ``rows`` into
+    ``lab_X``, as indices and squared distances: ``lists`` are the lists of
+    the boundary before, extended with the rows labelled since, which leaves
+    them equal to a fresh search. ``rows_sq`` and ``lab_sq`` are the rows'
+    squared norms. The rows are gathered one block at a time, so no copy of
+    all of them is held."""
+    n_seen = lab_X.shape[0] - config.additions_per_update if update else 0
+    k = config.model.knn_k
+    idx = np.empty((rows.size, min(k, lab_X.shape[0])), dtype=np.int64)
+    sq = np.empty(idx.shape)
+    for s in range(0, rows.size, _ROW_BLOCK):
+        b = slice(s, s + _ROW_BLOCK)
+        idx[b], sq[b] = extend_neighbors(
+            config.dataset.features[rows[b]], lab_X, n_seen, lists[0][b], lists[1][b], k,
+            q_sq=rows_sq[b], ref_sq=lab_sq,
+        )
+    return idx, sq
+
+
+class _TestRows(NamedTuple):
+    """One seed's held-out pool rows, their features, labels and squared norms."""
+
+    rows: np.ndarray
+    X: np.ndarray
+    y: np.ndarray
+    sq: np.ndarray
+
+
 def _boundary(
     config: ExperimentConfig,
     seed: int,
     update: int,
     lab_X: np.ndarray,
+    lab_sq: np.ndarray,
     labelled: np.ndarray,
-    test_X: np.ndarray,
-    test_y: np.ndarray,
+    test: _TestRows,
     test_nbrs: _Lists,
 ) -> tuple[_BoundaryModel, float, _Lists]:
     """Fit the model of one update boundary on the labelled rows and score it.
 
-    Returns the model, its test metric and the kNN model's test-row
-    neighbour lists into ``lab_X``, as indices and squared distances:
-    ``test_nbrs`` are the lists of the boundary before, extended with the
-    rows labelled since, which leaves them equal to a fresh search.
+    Returns the model, its test metric and the kNN model's test-row lists,
+    ``test_nbrs`` extended by :func:`_extend_lists`.
     """
     model = _BoundaryModel(config, config.dataset.select_rows(labelled), _model_seed(seed, update))
     neighbors = None
     if config.model.kind == "knn":
-        n_seen = labelled.size - config.additions_per_update if update else 0
-        test_nbrs = extend_neighbors(test_X, lab_X, n_seen, *test_nbrs, config.model.knn_k)
+        test_nbrs = _extend_lists(config, update, test.rows, test.sq, lab_X, lab_sq, test_nbrs)
         neighbors = test_nbrs[0]
-    return model, model.evaluate(test_X, test_y, neighbors), test_nbrs
+    return model, model.evaluate(test.X, test.y, neighbors), test_nbrs
 
 
 class _SeedStart(NamedTuple):
     """One seed's split and first update boundary, shared by every strategy:
-    the test rows, the initial labelled rows, the sorted unlabelled pool,
-    and the first boundary's model, metric value and test-row lists."""
+    the squared norms of every pool row, the test rows, the initial labelled
+    rows, the sorted unlabelled pool, and the first boundary's model, metric
+    value and test-row lists."""
 
-    test_X: np.ndarray
-    test_y: np.ndarray
+    pool_sq: np.ndarray
+    test: _TestRows
     labelled: np.ndarray
     unlabelled: np.ndarray
     model: _BoundaryModel
@@ -356,10 +402,13 @@ def _seed_start(config: ExperimentConfig, seed: int) -> _SeedStart:
     test_idx = perm[: config.test_size]
     n_held = config.test_size + config.initial_train_size
     labelled = perm[config.test_size : n_held]
-    test_X, test_y = ds.features[test_idx], ds.labels[test_idx]
-    empty = (np.empty((config.test_size, 0), dtype=np.int64), np.empty((config.test_size, 0)))
-    first = _boundary(config, seed, 0, ds.features[labelled], labelled, test_X, test_y, empty)
-    return _SeedStart(test_X, test_y, labelled, np.sort(perm[n_held:]), *first)
+    pool_sq = _sq_norms(ds.features)
+    test = _TestRows(test_idx, ds.features[test_idx], ds.labels[test_idx], pool_sq[test_idx])
+    first = _boundary(
+        config, seed, 0, ds.features[labelled], pool_sq[labelled], labelled, test,
+        _no_lists(config.test_size),
+    )
+    return _SeedStart(pool_sq, test, labelled, np.sort(perm[n_held:]), *first)
 
 
 def run_experiment(config: ExperimentConfig, seed: int, start: _SeedStart | None = None) -> LearningCurve:
@@ -387,17 +436,36 @@ def run_experiment(config: ExperimentConfig, seed: int, start: _SeedStart | None
     codes, n_classes = ds.class_codes
     strategy = config.strategy
     use_pca = strategy.pca_components > 0
+    pool_sq = start.pool_sq
     boundary, value, test_nbrs = start.model, start.value, start.test_nbrs
+    # A kNN model scores candidates from their lists into lab_X, carried
+    # like the test rows' lists; they are aligned with ``unl_rows``, the
+    # unlabelled pool at the last boundary.
+    knn_scores = strategy.tag == MODEL_UNCERTAINTY and config.model.kind == "knn"
+    unl_rows = unlabelled
+    unl_nbrs = _no_lists(unl_rows.size)
+
+    def model_score(cands: np.ndarray) -> np.ndarray:
+        nbrs = unl_nbrs[0][np.searchsorted(unl_rows, cands)] if knn_scores else None
+        return boundary.uncertainty(ds.features[cands], strategy.kind, nbrs)
 
     points: list[tuple[int, float]] = []
     for update in range(config.n_updates + 1):
+        lab_sq = pool_sq[labelled[:n_lab]]
         if update:
             boundary, value, test_nbrs = _boundary(
-                config, seed, update, lab_X[:n_lab], labelled[:n_lab], start.test_X, start.test_y, test_nbrs
+                config, seed, update, lab_X[:n_lab], lab_sq, labelled[:n_lab], start.test, test_nbrs
             )
         points.append((n_lab, value))
         if update == config.n_updates:
             break
+        if knn_scores:
+            keep = np.searchsorted(unl_rows, unlabelled)
+            unl_rows = unlabelled
+            unl_nbrs = _extend_lists(
+                config, update, unl_rows, pool_sq[unl_rows], lab_X[:n_lab], lab_sq,
+                (unl_nbrs[0][keep], unl_nbrs[1][keep]),
+            )
         pca = None
         proj = None
         if use_pca:
@@ -415,9 +483,8 @@ def run_experiment(config: ExperimentConfig, seed: int, start: _SeedStart | None
                 batch_size=config.candidate_batch_size,
                 pca=pca,
                 proj_labelled=None if proj is None else proj[:n_lab],
-                model_score=(lambda cands: boundary.uncertainty(ds.features[cands], strategy.kind))
-                if strategy.tag == MODEL_UNCERTAINTY
-                else None,
+                model_score=model_score if strategy.tag == MODEL_UNCERTAINTY else None,
+                sq_norms=pool_sq,
             )
             pick = select_next(unlabelled, strategy, ctx, rng_select)
             labelled[n_lab] = pick

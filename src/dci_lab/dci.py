@@ -113,10 +113,13 @@ def dci_scores(
         raise ValueError("distances must be non-negative")
 
     # Canonicalize each row by (distance, label) so the accumulation order,
-    # and hence the rounding, is identical for any input permutation.
-    order = np.lexsort((labels, dists), axis=-1)
-    labels = np.take_along_axis(labels, order, axis=1)
-    dists = np.take_along_axis(dists, order, axis=1)
+    # and hence the rounding, is identical for any input permutation. Rows
+    # whose distances strictly increase, as a neighbour search returns them
+    # unless two tie, are in that order already.
+    if not (dists[:, 1:] > dists[:, :-1]).all():
+        order = np.lexsort((labels, dists), axis=-1)
+        labels = np.take_along_axis(labels, order, axis=1)
+        dists = np.take_along_axis(dists, order, axis=1)
 
     d_alpha = dists**params.alpha + params.epsilon
     w_num = 1.0 / d_alpha

@@ -134,8 +134,30 @@ def _sq_error_bound(d: int, q_sq: np.ndarray, ref_max: float) -> np.ndarray:
     return 2.0 * (d + 2) * np.finfo(np.float64).eps * (q_sq + ref_max)
 
 
+def _norms(X: np.ndarray, sq: np.ndarray | None, side: str) -> np.ndarray:
+    """Squared norms of the rows of X, computed unless ``sq`` holds them.
+
+    A row's norm has the same bits whichever block of rows it is computed
+    in, so norms computed once for a whole pool serve any subset of it.
+    """
+    if sq is None:
+        sq = _sq_norms(X)
+    else:
+        sq = np.asarray(sq, dtype=np.float64)
+        if sq.shape != (X.shape[0],):
+            raise ValueError(f"{side} norms must have shape ({X.shape[0]},)")
+    if not np.isfinite(sq).all():
+        raise DataError(f"{side} rows must be finite")
+    return sq
+
+
 def _nearest_sq(
-    queries: np.ndarray, reference: np.ndarray, k: int, exclude_self: bool = False
+    queries: np.ndarray,
+    reference: np.ndarray,
+    k: int,
+    exclude_self: bool = False,
+    q_sq: np.ndarray | None = None,
+    ref_sq: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`nearest_neighbors` with squared distances."""
     queries = np.asarray(queries, dtype=np.float64)
@@ -151,19 +173,16 @@ def _nearest_sq(
     if exclude_self and queries.shape[0] != n_ref:
         raise ValueError("exclude_self requires equal query and reference row counts")
 
-    ref_sq = _sq_norms(reference)
-    if not np.isfinite(ref_sq).all():
-        raise DataError("reference rows must be finite")
+    ref_sq = _norms(reference, ref_sq, "reference")
+    q_sq = _norms(queries, q_sq, "query")
     ref_max = float(ref_sq.max())
     n_q = queries.shape[0]
     indices = np.empty((n_q, k), dtype=np.int64)
     distances = np.empty((n_q, k))
     for start in range(0, n_q, _CHUNK_ROWS):
         chunk = queries[start : start + _CHUNK_ROWS]
-        q_sq = _sq_norms(chunk)
-        if not np.isfinite(q_sq).all():
-            raise DataError("query rows must be finite")
-        sq = _expanded_sq(chunk, q_sq, reference, ref_sq)
+        c_sq = q_sq[start : start + _CHUNK_ROWS]
+        sq = _expanded_sq(chunk, c_sq, reference, ref_sq)
         rows = np.arange(chunk.shape[0])
         if exclude_self:
             sq[rows, start + rows] = np.inf
@@ -172,7 +191,7 @@ def _nearest_sq(
         cand = part[:, :k]
         # A reference row can beat or tie the k-th candidate only if its
         # expanded value is within twice the bound of the k-th one.
-        limit = sq[rows[:, None], cand].max(axis=1) + 2.0 * _sq_error_bound(d, q_sq, ref_max)
+        limit = sq[rows[:, None], cand].max(axis=1) + 2.0 * _sq_error_bound(d, c_sq, ref_max)
         ex = _exact_sq(chunk, reference, cand)
         order = np.lexsort((cand, ex))
         out = slice(start, start + chunk.shape[0])
@@ -195,6 +214,9 @@ def nearest_neighbors(
     reference: np.ndarray,
     k: int,
     exclude_self: bool = False,
+    *,
+    q_sq: np.ndarray | None = None,
+    ref_sq: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(indices, distances) of the min(k, available) nearest reference rows.
 
@@ -209,8 +231,12 @@ def nearest_neighbors(
     (k+1)-th expanded value lies within the expansion's rounding bound of
     its k-th has rivals the expansion cannot order, and is redone exactly
     over every reference row inside that bound.
+
+    ``q_sq`` and ``ref_sq`` are the squared row norms of ``queries`` and
+    ``reference`` when the caller already holds them; by default they are
+    computed here. The result does not depend on which.
     """
-    indices, distances = _nearest_sq(queries, reference, k, exclude_self)
+    indices, distances = _nearest_sq(queries, reference, k, exclude_self, q_sq, ref_sq)
     np.sqrt(distances, out=distances)
     return indices, distances
 
@@ -222,6 +248,9 @@ def extend_neighbors(
     indices: np.ndarray,
     sq_distances: np.ndarray,
     k: int,
+    *,
+    q_sq: np.ndarray | None = None,
+    ref_sq: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Neighbour lists against ``reference[:start]``, extended to all of it.
 
@@ -237,6 +266,8 @@ def extend_neighbors(
     and the lists are searched afresh. Otherwise only the appended rows
     are expanded, and only those whose expanded value lies within the
     rounding bound of a row's k-th squared distance get an exact one.
+    ``q_sq`` and ``ref_sq`` are optional squared row norms, as for
+    :func:`nearest_neighbors`.
     """
     queries = np.asarray(queries, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
@@ -249,28 +280,27 @@ def extend_neighbors(
         raise ValueError("start must lie within the reference rows")
     if indices.shape != (n_q, min(k, start)) or sq_distances.shape != indices.shape:
         raise ValueError("the lists must have shape (n_queries, min(k, start))")
+    if ref_sq is not None:
+        ref_sq = _norms(reference, ref_sq, "reference")
     if start < k:
-        return _nearest_sq(queries, reference, k)
+        return _nearest_sq(queries, reference, k, q_sq=q_sq, ref_sq=ref_sq)
+    q_sq = _norms(queries, q_sq, "query")
     if start == n_ref:
         return indices, sq_distances
 
     new = reference[start:]
-    new_sq = _sq_norms(new)
-    if not np.isfinite(new_sq).all():
-        raise DataError("reference rows must be finite")
+    new_sq = _norms(new, None if ref_sq is None else ref_sq[start:], "reference")
     new_max = float(new_sq.max())
     indices = indices.copy()
     sq_distances = sq_distances.copy()
     for start_q in range(0, n_q, _CHUNK_ROWS):
-        chunk = queries[start_q : start_q + _CHUNK_ROWS]
-        out = slice(start_q, start_q + chunk.shape[0])
-        q_sq = _sq_norms(chunk)
-        if not np.isfinite(q_sq).all():
-            raise DataError("query rows must be finite")
+        out = slice(start_q, start_q + _CHUNK_ROWS)
+        chunk = queries[out]
+        c_sq = q_sq[out]
         # An appended row can beat the k-th entry only if its expanded value
         # is within the bound of that entry's exact value.
-        limit = sq_distances[out, k - 1] + _sq_error_bound(d, q_sq, new_max)
-        sq = _expanded_sq(chunk, q_sq, new, new_sq)
+        limit = sq_distances[out, k - 1] + _sq_error_bound(d, c_sq, new_max)
+        sq = _expanded_sq(chunk, c_sq, new, new_sq)
         rows, cols = np.nonzero(sq <= limit[:, None])
         if rows.size == 0:
             continue

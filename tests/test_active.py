@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import make_classification, make_regression
-from dci_lab import active
+from dci_lab import active, models, neighbors
 from dci_lab.active import (
     ExperimentConfig,
     LearningCurve,
@@ -21,7 +21,7 @@ from dci_lab.active import (
     write_summary_csv,
 )
 from dci_lab.dci import DciParams
-from dci_lab.models import fit_ensemble
+from dci_lab.models import EnsemblePrediction, fit_ensemble, knn_predict
 
 
 def two_blob_dataset(rng, n_per=40, gap=8.0):
@@ -268,22 +268,43 @@ class TestRunExperiment:
 
 
 class TestKnnTestLists:
-    """The kNN model evaluates from test-row neighbour lists that each
-    boundary extends; its curves must equal knn_predict run afresh."""
+    """The kNN model predicts from neighbour lists that each boundary
+    extends, for the test rows and for the candidates; its curves must
+    equal knn_predict run afresh."""
 
     def fresh_curve(self, config, seed, monkeypatch):
-        evaluate = active._BoundaryModel.evaluate
+        """The curve with every kNN prediction searched afresh, and the row
+        count of each prediction."""
         seen = []
 
-        def fresh(boundary, test_X, test_y, neighbors=None):
-            seen.append(neighbors is not None)
-            return evaluate(boundary, test_X, test_y)
+        def fresh(boundary, X, neighbors=None):
+            assert neighbors is not None
+            seen.append(X.shape[0])
+            out = knn_predict(boundary.train, X, boundary.config.model.knn_k)
+            return EnsemblePrediction(per_member=out[None], aggregate=out, task=config.task)
 
         with monkeypatch.context() as m:
-            m.setattr(active._BoundaryModel, "evaluate", fresh)
+            m.setattr(active._BoundaryModel, "_predict", fresh)
             curve = run_experiment(config, seed)
-        assert all(seen)
-        return curve
+        assert seen
+        return curve, seen
+
+    @staticmethod
+    def blob_config(rng, strategy, **kw):
+        # Rounded overlapping blobs: many exact distance ties.
+        X = np.round(np.concatenate([rng.normal(size=(60, 3)), rng.normal(size=(60, 3)) + 1.0]))
+        settings = dict(
+            model=ModelConfig(kind="knn", knn_k=5),
+            metric="accuracy",
+            initial_train_size=3,
+            additions_per_update=2,
+            n_updates=12,
+            test_size=40,
+        )
+        settings.update(kw)
+        return ExperimentConfig(
+            dataset=make_classification(X, np.repeat([0, 1], 60)), strategy=strategy, **settings
+        )
 
     @pytest.mark.parametrize(
         "strategy",
@@ -294,21 +315,57 @@ class TestKnnTestLists:
         ],
     )
     def test_class_pool_accuracy(self, rng, monkeypatch, strategy):
-        # Rounded overlapping blobs: many exact distance ties.
-        X = np.round(np.concatenate([rng.normal(size=(60, 3)), rng.normal(size=(60, 3)) + 1.0]))
-        ds = make_classification(X, np.repeat([0, 1], 60))
-        config = ExperimentConfig(
-            dataset=ds,
-            strategy=strategy,
-            model=ModelConfig(kind="knn", knn_k=5),
-            metric="accuracy",
-            initial_train_size=3,
-            additions_per_update=2,
-            n_updates=12,
-            test_size=40,
+        config = self.blob_config(rng, strategy)
+        for seed in (0, 1, 2):
+            assert run_experiment(config, seed) == self.fresh_curve(config, seed, monkeypatch)[0]
+
+    def test_candidate_scores_equal_a_fresh_search(self, rng, monkeypatch):
+        # The initial set is smaller than k, so the candidates' lists are
+        # searched afresh until they fill, then extended.
+        config = self.blob_config(
+            rng,
+            Strategy(tag="model-uncertainty", kind="max_prob"),
+            model=ModelConfig(kind="knn", knn_k=7),
+            additions_per_update=4,
+            n_updates=10,
         )
         for seed in (0, 1, 2):
-            assert run_experiment(config, seed) == self.fresh_curve(config, seed, monkeypatch)
+            fresh, rows = self.fresh_curve(config, seed, monkeypatch)
+            assert run_experiment(config, seed) == fresh
+            # Besides the 11 test-set evaluations, every pick scored a batch.
+            assert rows.count(config.test_size) == config.n_updates + 1
+            assert rows.count(config.candidate_batch_size) == config.n_updates * 4
+
+    def test_candidate_scores_make_no_search(self, rng, monkeypatch):
+        calls = []
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(models, "knn_predict")
+        counted(models, "knn")
+        counted(neighbors, "knn")
+        counted(active, "nearest_neighbors")
+        config = self.blob_config(rng, Strategy(tag="model-uncertainty", kind="max_prob"))
+        curves = [run_experiment(config, seed).points for seed in (1, 2)]
+        assert calls == []
+        # The curves as the kNN model gave them when it searched per pick.
+        assert curves == [
+            (
+                (3, 0.525), (5, 0.525), (7, 0.525), (9, 0.525), (11, 0.575), (13, 0.725), (15, 0.725),
+                (17, 0.675), (19, 0.675), (21, 0.675), (23, 0.675), (25, 0.675), (27, 0.675),
+            ),
+            (
+                (3, 0.5), (5, 0.5), (7, 0.5), (9, 0.65), (11, 0.625), (13, 0.625), (15, 0.625),
+                (17, 0.675), (19, 0.675), (21, 0.675), (23, 0.7), (25, 0.7), (27, 0.7),
+            ),
+        ]
 
     def test_numeric_label_pool_rmse(self, rng, monkeypatch):
         # The regression mean is taken in list order, so the order is pinned.
@@ -325,7 +382,7 @@ class TestKnnTestLists:
             test_size=50,
         )
         for seed in (0, 1, 2):
-            assert run_experiment(config, seed) == self.fresh_curve(config, seed, monkeypatch)
+            assert run_experiment(config, seed) == self.fresh_curve(config, seed, monkeypatch)[0]
 
 
 class TestRunMany:

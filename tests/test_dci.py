@@ -150,6 +150,35 @@ class TestDciScores:
         empty = dci_scores(np.empty((0, 8), dtype=np.int64), np.empty((0, 8)), 11, params)
         assert empty.shape == (0,)
 
+    def test_rows_in_increasing_order_match_their_shuffles(self, rng):
+        # Every row's distances strictly increase, as a neighbour search
+        # returns them: the canonical sort has nothing to do.
+        distances = np.sort(rng.uniform(0.0, 3.0, size=(9, 14)), axis=1)
+        assert (np.diff(distances, axis=1) > 0).all()
+        labels = rng.integers(0, 4, size=(9, 14))
+        want = dci_scores(labels, distances, 4)
+        for _ in range(5):
+            perm = np.argsort(rng.random(distances.shape), axis=1)
+            shuffled = dci_scores(
+                np.take_along_axis(labels, perm, axis=1), np.take_along_axis(distances, perm, axis=1), 4
+            )
+            assert shuffled.tobytes() == want.tobytes()
+
+    def test_tied_row_in_index_order_is_still_resorted(self, rng):
+        # Sorted by (distance, index), with a tie whose labels (1, 0) are out
+        # of order. Left as it is, the tied weight lands in the other half of
+        # the pairwise sum and the score comes out one ulp off.
+        distances = np.array(
+            [[0.44866556226143095, 0.47561939156771293, 0.568022029555583, 1.2339446327823387,
+              1.2339446327823387, 1.4830687177408908, 1.7545531641063288, 2.411866039470816,
+              2.7132274439929702, 2.9326016218748934, 2.9431485316307615, 2.982972997080316]]
+        )
+        labels = np.array([[2, 1, 1, 1, 0, 2, 2, 2, 0, 0, 1, 0]])
+        want = dci_scores(labels, distances, 3)
+        for _ in range(5):
+            perm = rng.permutation(12)
+            assert dci_scores(labels[:, perm], distances[:, perm], 3).tobytes() == want.tobytes()
+
     def test_zero_distance_neighbour_dominates(self):
         # A neighbour sitting exactly on the query point pushes its class.
         labels = np.array([[0, 1, 1, 1]])

@@ -338,3 +338,107 @@ class TestNeighborSet:
             NeighborSet(
                 distances=np.empty(0), labels=np.empty(0), indices=np.empty(0)
             )
+
+
+class TestPrecomputedNorms:
+    """Squared row norms passed in, as a caller computes them once for a
+    whole pool, give the same bits as norms computed inside the search."""
+
+    @staticmethod
+    def pool_norms(Q, R):
+        # The queries and reference rows as rows of one pool, whose norms
+        # are computed once, in one block.
+        pool = np.vstack([R, Q])
+        sq = neighbors._sq_norms(pool)
+        return sq[R.shape[0] :], sq[: R.shape[0]]
+
+    @given(search_problems())
+    def test_nearest_neighbors_bits(self, problem):
+        Q, R, k, exclude_self = problem
+        q_sq, ref_sq = self.pool_norms(Q, R)
+        want = nearest_neighbors(Q, R, k, exclude_self=exclude_self)
+        got = nearest_neighbors(Q, R, k, exclude_self=exclude_self, q_sq=q_sq, ref_sq=ref_sq)
+        assert got[0].tolist() == want[0].tolist()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    def test_contested_kth_neighbour_and_exclude_self(self, rng):
+        # Signed permutations of one vector: equidistant from the origin up to
+        # a few ulp, so the k-th neighbour of the origin is contested.
+        R = np.array([rng.permutation([0.3, 1.7, 2.9]) for _ in range(12)])
+        R *= rng.choice([-1.0, 1.0], size=R.shape)
+        Q = np.vstack([np.zeros((1, 3)), R[:4]])
+        q_sq, ref_sq = self.pool_norms(Q, R)
+        for k in (1, 3, 5, 11):
+            want = nearest_neighbors(Q, R, k)
+            got = nearest_neighbors(Q, R, k, q_sq=q_sq, ref_sq=ref_sq)
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1].tobytes() == want[1].tobytes()
+            want = nearest_neighbors(R, R, k, exclude_self=True)
+            got = nearest_neighbors(R, R, k, exclude_self=True, q_sq=ref_sq, ref_sq=ref_sq)
+            assert got[0].tolist() == want[0].tolist()
+            assert got[1].tobytes() == want[1].tobytes()
+
+    @given(growth_problems())
+    def test_extend_neighbors_bits_across_boundaries(self, problem):
+        Q, R, k, ends = problem
+        q_sq, ref_sq = self.pool_norms(Q, R)
+        plain = given_norms = (np.empty((Q.shape[0], 0), dtype=np.int64), np.empty((Q.shape[0], 0)))
+        start = 0
+        for end in ends:
+            plain = extend_neighbors(Q, R[:end], start, *plain, k)
+            given_norms = extend_neighbors(
+                Q, R[:end], start, *given_norms, k, q_sq=q_sq, ref_sq=ref_sq[:end]
+            )
+            start = end
+            assert given_norms[0].tolist() == plain[0].tolist()
+            assert given_norms[1].tobytes() == plain[1].tobytes()
+
+    @pytest.mark.parametrize("d", [784, 3, 17])
+    def test_a_row_norm_does_not_depend_on_its_block(self, rng, d):
+        X = rng.normal(size=(300, d)) * np.exp(rng.normal(size=(300, 1)) * 3.0)
+        full = neighbors._sq_norms(X)
+        for start in (0, 1, 3, 5, 7, 250):
+            for n in (1, 2, 5, 7, 64, 257):
+                part = neighbors._sq_norms(X[start : start + n])
+                assert part.tobytes() == full[start : start + n].tobytes()
+        alone = np.array([neighbors._sq_norms(X[i : i + 1])[0] for i in range(300)])
+        assert alone.tobytes() == full.tobytes()
+        rows = rng.permutation(300)[:77]
+        assert neighbors._sq_norms(X[rows]).tobytes() == full[rows].tobytes()
+        # Copied into a larger buffer at an odd row offset, as the labelled
+        # rows of a simulation are.
+        buf = np.empty((305, d))
+        buf[3:303] = X
+        assert neighbors._sq_norms(buf[3:303]).tobytes() == full.tobytes()
+
+    def test_validation(self, rng):
+        R = rng.normal(size=(10, 2))
+        Q = rng.normal(size=(3, 2))
+        q_sq, ref_sq = neighbors._sq_norms(Q), neighbors._sq_norms(R)
+        empty = np.empty((3, 0), np.int64), np.empty((3, 0))
+        # Lists at no rows (a fresh search), at 6 rows (an extension) and at
+        # all 10 (nothing appended).
+        lists = {0: empty, 6: extend_neighbors(Q, R[:6], 0, *empty, 4)}
+        lists[10] = extend_neighbors(Q, R, 6, *lists[6], 4)
+        for bad_q, bad_ref in [
+            (q_sq[:2], ref_sq),
+            (q_sq, ref_sq[:9]),
+            (q_sq[:, None], ref_sq),
+            (q_sq, np.append(ref_sq, 1.0)),
+        ]:
+            with pytest.raises(ValueError):
+                nearest_neighbors(Q, R, 4, q_sq=bad_q, ref_sq=bad_ref)
+            for start, old in lists.items():
+                with pytest.raises(ValueError):
+                    extend_neighbors(Q, R, start, *old, 4, q_sq=bad_q, ref_sq=bad_ref)
+        for bad in (np.nan, np.inf):
+            nq, nref = q_sq.copy(), ref_sq.copy()
+            nq[1], nref[8] = bad, bad
+            with pytest.raises(DataError):
+                nearest_neighbors(Q, R, 4, q_sq=nq)
+            with pytest.raises(DataError):
+                nearest_neighbors(Q, R, 4, ref_sq=nref)
+            with pytest.raises(DataError):
+                extend_neighbors(Q, R, 6, *lists[6], 4, q_sq=nq)
+            with pytest.raises(DataError):
+                extend_neighbors(Q, R, 6, *lists[6], 4, ref_sq=nref)
