@@ -27,7 +27,7 @@ from dci_lab.dataset import (
     write_idx,
 )
 from dci_lab.neighbors import NeighborSet, knn, nearest_neighbors
-from dci_lab.dci import DciParams, GridSpec, dci_field, dci_score, dci_scores
+from dci_lab.dci import DciParams, GridSpec, dci_field, dci_score, dci_scores, pool_scores
 from dci_lab.models import (
     EnsembleConfig,
     EnsemblePrediction,
@@ -75,6 +75,7 @@ __all__ = [
     "dci_field",
     "dci_score",
     "dci_scores",
+    "pool_scores",
     "EnsembleConfig",
     "EnsemblePrediction",
     "TreeEnsemble",

@@ -18,10 +18,10 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, PcaModel, pca_fit, pca_project
-from .dci import DciParams, dci_scores
+from .dataset import Dataset, pca_fit, pca_project
+from .dci import DciParams, pool_scores
 from .metrics import accuracy, auroc, rmse
-from .neighbors import _sq_norms, extend_neighbors, nearest_neighbors
+from .neighbors import _sq_norms, extend_neighbors
 from .models import (
     CLASSIFICATION,
     UNCERTAINTY,
@@ -204,72 +204,28 @@ class SummaryRow:
     q75: float
 
 
-@dataclass
-class SelectionContext:
-    """Everything a strategy may consult when ranking candidates.
-
-    ``model_score`` maps candidate pool indices to uncertainties using the
-    model from the last update boundary; ``labelled``, ``labelled_features``
-    (``features[labelled]``) and ``proj_labelled`` track the live labelled
-    set, which impurity scoring follows point by point. ``sq_norms``, when
-    given, holds the squared norms of the rows of ``features``.
-    """
-
-    features: np.ndarray
-    codes: np.ndarray
-    n_classes: int
-    labelled: np.ndarray
-    labelled_features: np.ndarray
-    batch_size: int
-    pca: PcaModel | None = None
-    proj_labelled: np.ndarray | None = None
-    model_score: Callable[[np.ndarray], np.ndarray] | None = None
-    sq_norms: np.ndarray | None = None
-
-
-def _dci_candidate_scores(
-    ctx: SelectionContext, strategy: Strategy, candidates: np.ndarray
-) -> np.ndarray:
-    params = strategy.dci_params
-    q_sq = ref_sq = None
-    if strategy.pca_components:
-        ref = ctx.proj_labelled
-        query = pca_project(ctx.pca, ctx.features[candidates])
-    else:
-        ref = ctx.labelled_features
-        query = ctx.features[candidates]
-        if ctx.sq_norms is not None:
-            q_sq, ref_sq = ctx.sq_norms[candidates], ctx.sq_norms[ctx.labelled]
-    idx, dist = nearest_neighbors(query, ref, params.k, q_sq=q_sq, ref_sq=ref_sq)
-    return dci_scores(ctx.codes[ctx.labelled[idx]], dist, ctx.n_classes, params)
-
-
 def select_next(
     unlabelled: np.ndarray,
-    strategy: Strategy,
-    ctx: SelectionContext,
+    batch_size: int,
     rng: np.random.Generator,
+    score: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> int:
     """Pick one unlabelled pool index.
 
-    Draws min(batch, remaining) distinct candidates uniformly; the random
-    strategy takes the first draw, the others take the arg-extreme of their
-    score over the batch with ties going to the lowest pool index.
+    Draws min(batch_size, remaining) distinct candidates uniformly. Without
+    ``score`` the first draw is taken; otherwise ``score`` maps the sorted
+    candidates to one score each, and the highest wins, ties going to the
+    lowest pool index.
     """
     unlabelled = np.asarray(unlabelled)
     if unlabelled.size == 0:
         raise ValueError("the unlabelled pool is empty")
-    m = min(ctx.batch_size, unlabelled.size)
+    m = min(batch_size, unlabelled.size)
     candidates = rng.choice(unlabelled, size=m, replace=False)
-    if strategy.tag == RANDOM:
+    if score is None:
         return int(candidates[0])
     candidates = np.sort(candidates)
-    if strategy.tag == MODEL_UNCERTAINTY:
-        scores = np.asarray(ctx.model_score(candidates), dtype=np.float64)
-    else:
-        scores = _dci_candidate_scores(ctx, strategy, candidates)
-    pick = int(np.argmin(scores)) if strategy.tag == DCI_LOW else int(np.argmax(scores))
-    return int(candidates[pick])
+    return int(candidates[np.argmax(score(candidates))])
 
 
 def _model_seed(seed: int, update: int) -> int:
@@ -277,24 +233,24 @@ def _model_seed(seed: int, update: int) -> int:
 
 
 class _BoundaryModel:
-    """The predictor fitted at an update boundary, with its scoring closures."""
+    """The predictor fitted at an update boundary on the pool rows ``labelled``."""
 
-    def __init__(self, config: ExperimentConfig, train: Dataset, seed: int):
+    def __init__(self, config: ExperimentConfig, labelled: np.ndarray, seed: int):
         self.config = config
-        self.train = train
+        self.labelled = labelled
+        self.ensemble = None
         if config.model.kind == "ensemble":
+            train = config.dataset.select_rows(labelled)
             self.ensemble = fit_ensemble(train, config.model.ensemble(seed))
-        else:
-            self.ensemble = None
 
     def _predict(self, X: np.ndarray, neighbors: np.ndarray | None) -> EnsemblePrediction:
         """Predictions for rows X. The kNN model reads them from
-        ``neighbors``, the rows' neighbour lists into the training set."""
+        ``neighbors``, the rows' neighbour lists into the labelled rows."""
         if self.ensemble is not None:
             return predict(self.ensemble, X)
-        out = knn_from_labels(self.train, self.train.labels[neighbors])
-        task = CLASSIFICATION if self.train.is_classification else "regression"
-        return EnsemblePrediction(per_member=out[None], aggregate=out, task=task)
+        ds = self.config.dataset
+        out = knn_from_labels(ds, ds.labels[self.labelled[neighbors]])
+        return EnsemblePrediction(per_member=out[None], aggregate=out, task=self.config.task)
 
     def uncertainty(
         self, X: np.ndarray, kind: str, neighbors: np.ndarray | None = None
@@ -373,7 +329,7 @@ def _boundary(
     Returns the model, its test metric and the kNN model's test-row lists,
     ``test_nbrs`` extended by :func:`_extend_lists`.
     """
-    model = _BoundaryModel(config, config.dataset.select_rows(labelled), _model_seed(seed, update))
+    model = _BoundaryModel(config, labelled, _model_seed(seed, update))
     neighbors = None
     if config.model.kind == "knn":
         test_nbrs = _extend_lists(config, update, test.rows, test.sq, lab_X, lab_sq, test_nbrs)
@@ -449,6 +405,22 @@ def run_experiment(config: ExperimentConfig, seed: int, start: _SeedStart | None
         nbrs = unl_nbrs[0][np.searchsorted(unl_rows, cands)] if knn_scores else None
         return boundary.uncertainty(ds.features[cands], strategy.kind, nbrs)
 
+    def impurity_score(cands: np.ndarray) -> np.ndarray:
+        lab = labelled[:n_lab]
+        q_sq = ref_sq = None
+        if use_pca:
+            ref, query = proj[:n_lab], pca_project(pca, ds.features[cands])
+        else:
+            ref, query = lab_X[:n_lab], ds.features[cands]
+            q_sq, ref_sq = pool_sq[cands], pool_sq[lab]
+        (scores,) = pool_scores(
+            ref, codes[lab], n_classes, query, [strategy.dci_params], q_sq=q_sq, ref_sq=ref_sq
+        )
+        # dci-low takes the lowest score: argmax(-s) is argmin(s), ties included.
+        return -scores if strategy.tag == DCI_LOW else scores
+
+    score = {RANDOM: None, MODEL_UNCERTAINTY: model_score}.get(strategy.tag, impurity_score)
+
     points: list[tuple[int, float]] = []
     for update in range(config.n_updates + 1):
         lab_sq = pool_sq[labelled[:n_lab]]
@@ -466,27 +438,13 @@ def run_experiment(config: ExperimentConfig, seed: int, start: _SeedStart | None
                 config, update, unl_rows, pool_sq[unl_rows], lab_X[:n_lab], lab_sq,
                 (unl_nbrs[0][keep], unl_nbrs[1][keep]),
             )
-        pca = None
-        proj = None
         if use_pca:
             n_comp = min(strategy.pca_components, n_lab, ds.n_features)
             pca = pca_fit(lab_X[:n_lab], n_comp)
             proj = np.empty((n_final, n_comp))
             proj[:n_lab] = pca_project(pca, lab_X[:n_lab])
         for _ in range(config.additions_per_update):
-            ctx = SelectionContext(
-                features=ds.features,
-                codes=codes,
-                n_classes=n_classes,
-                labelled=labelled[:n_lab],
-                labelled_features=lab_X[:n_lab],
-                batch_size=config.candidate_batch_size,
-                pca=pca,
-                proj_labelled=None if proj is None else proj[:n_lab],
-                model_score=model_score if strategy.tag == MODEL_UNCERTAINTY else None,
-                sq_norms=pool_sq,
-            )
-            pick = select_next(unlabelled, strategy, ctx, rng_select)
+            pick = select_next(unlabelled, config.candidate_batch_size, rng_select, score)
             labelled[n_lab] = pick
             lab_X[n_lab] = ds.features[pick]
             if use_pca:

@@ -48,10 +48,9 @@ from .dataset import (
     read_colspec,
     standardization_stats,
 )
-from .dci import dci_scores, dci_field, write_field_csv
+from .dci import dci_field, pool_scores, write_field_csv
 from .metrics import average_reports, decile_analysis, write_decile_csv
 from .models import UNCERTAINTY, fit_ensemble, predict
-from .neighbors import nearest_neighbors
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -168,15 +167,11 @@ def cmd_score(cfg: Cfg, out_dir: Path) -> None:
     ds, stats = prepare_dataset(cfg)
     params = build_dci_params(cfg)
     Q = _read_query_matrix(cfg.str("score.query"), ds.n_features)
-    if stats is not None and Q.shape[0]:
+    if stats is not None:
         mean, inv = stats
         Q = (Q - mean) * inv
-    lines = ["dci"]
-    if Q.shape[0]:
-        codes, n_classes = ds.class_codes
-        idx, dist = nearest_neighbors(Q, ds.features, params.k)
-        scores = dci_scores(codes[idx], dist, n_classes, params)
-        lines += [format(s + 0.0, ".9g") for s in scores]
+    (scores,) = pool_scores(ds.features, *ds.class_codes, Q, [params])
+    lines = ["dci"] + [format(s + 0.0, ".9g") for s in scores]
     (out_dir / "scores.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -267,6 +262,7 @@ def cmd_analyze(cfg: Cfg, out_dir: Path, seed: int) -> None:
     max_size = max(train_sizes)
     if max_size + max(test_size, 10) > ds.n_rows:
         raise ConfigError("train sizes plus test size exceed the pool")
+    codes, n_classes = ds.class_codes
 
     for size in train_sizes:
         reports: dict[str, list] = {label: [] for label, _ in dci_cells}
@@ -284,10 +280,11 @@ def cmd_analyze(cfg: Cfg, out_dir: Path, seed: int) -> None:
             for kind in kinds:
                 u = np.asarray(UNCERTAINTY[kind](pred), dtype=np.float64)
                 reports[kind].append(decile_analysis(u, correct))
-            idx, dist = nearest_neighbors(ds.features[test_idx], train_ds.features, base.k)
-            nbr_labels = train_ds.labels[idx]
-            for label, params in dci_cells:
-                u = dci_scores(nbr_labels, dist, ds.class_count, params)
+            cells = pool_scores(
+                train_ds.features, codes[train_idx], n_classes, ds.features[test_idx],
+                [params for _, params in dci_cells],
+            )
+            for (label, _), u in zip(dci_cells, cells):
                 reports[label].append(decile_analysis(u, correct))
         for label, collected in reports.items():
             write_decile_csv(

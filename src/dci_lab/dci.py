@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -121,10 +122,6 @@ def dci_scores(
         labels = np.take_along_axis(labels, order, axis=1)
         dists = np.take_along_axis(dists, order, axis=1)
 
-    d_alpha = dists**params.alpha + params.epsilon
-    w_num = 1.0 / d_alpha
-    denom = (d_alpha ** (-params.beta)).sum(axis=1)
-
     # Only classes present among a row's neighbours can attain its minimum;
     # any other class keeps the row's full weight sum, which dominates, since
     # adding a non-negative term never lowers a rounded sum. Per-class sums
@@ -136,11 +133,51 @@ def dci_scores(
     n, k = labels.shape
     step = max(1, _SUM_CELLS // max(1, present.size * k))
     min_num = np.empty(n)
-    for s in range(0, n, step):
-        lab = labels[s : s + step]
-        num = np.where(lab != present, w_num[s : s + step], 0.0).sum(axis=2)
-        min_num[s : s + step] = num.min(axis=0)
-    return min_num / denom
+    # Powers of large distances overflow or underflow; the scores are
+    # checked instead, so that none that is not finite is returned.
+    with np.errstate(all="ignore"):
+        d_alpha = dists**params.alpha + params.epsilon
+        w_num = 1.0 / d_alpha
+        denom = (d_alpha ** (-params.beta)).sum(axis=1)
+        for s in range(0, n, step):
+            lab = labels[s : s + step]
+            num = np.where(lab != present, w_num[s : s + step], 0.0).sum(axis=2)
+            min_num[s : s + step] = num.min(axis=0)
+        scores = min_num / denom
+    if not np.isfinite(scores).all():
+        raise DataError(
+            f"DCI scores are not finite at alpha = {params.alpha:g}, beta = {params.beta:g}: "
+            "the powers of the neighbour distances overflow; scale the features down"
+        )
+    return scores
+
+
+def pool_scores(
+    features: np.ndarray,
+    codes: np.ndarray,
+    n_classes: int,
+    queries: np.ndarray,
+    params: Sequence[DciParams],
+    *,
+    q_sq: np.ndarray | None = None,
+    ref_sq: np.ndarray | None = None,
+) -> list[np.ndarray]:
+    """Scores of ``queries`` against a labelled pool, one array per set of ``params``.
+
+    ``features`` are the pool's rows and ``codes`` their class ids, below
+    ``n_classes``. One neighbour search serves every parameter set, so the
+    sets must share ``k``, which is clamped to the pool size. ``q_sq`` and
+    ``ref_sq`` are optional squared row norms, as for
+    :func:`nearest_neighbors`.
+    """
+    ks = {p.k for p in params}
+    if len(ks) > 1:
+        raise ValueError("the DCI parameter sets must share k")
+    if not ks:
+        return []
+    idx, dist = nearest_neighbors(queries, features, ks.pop(), q_sq=q_sq, ref_sq=ref_sq)
+    labels = codes[idx]
+    return [dci_scores(labels, dist, n_classes, p) for p in params]
 
 
 def dci_score(
@@ -175,10 +212,7 @@ def dci_field(
     """
     if pool.n_features != 2:
         raise ValueError("field evaluation expects a 2-d pool")
-    codes, n_classes = pool.class_codes
-    pts = grid.points()
-    idx, dist = nearest_neighbors(pts, pool.features, params.k)
-    scores = dci_scores(codes[idx], dist, n_classes, params)
+    (scores,) = pool_scores(pool.features, *pool.class_codes, grid.points(), [params])
     return scores.reshape(grid.resolution, grid.resolution)
 
 

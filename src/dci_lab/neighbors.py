@@ -147,6 +147,8 @@ def _norms(X: np.ndarray, sq: np.ndarray | None, side: str) -> np.ndarray:
         if sq.shape != (X.shape[0],):
             raise ValueError(f"{side} norms must have shape ({X.shape[0]},)")
     if not np.isfinite(sq).all():
+        if np.isfinite(X).all():
+            raise DataError(f"the squared norm of a {side} row overflowed; scale the features down")
         raise DataError(f"{side} rows must be finite")
     return sq
 

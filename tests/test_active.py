@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import make_classification, make_regression
-from dci_lab import active, models, neighbors
+from dci_lab import active, dci, models, neighbors
 from dci_lab.active import (
     ExperimentConfig,
     LearningCurve,
     ModelConfig,
-    SelectionContext,
     Strategy,
     aggregate,
     run_experiment,
@@ -20,7 +19,7 @@ from dci_lab.active import (
     write_curves_csv,
     write_summary_csv,
 )
-from dci_lab.dci import DciParams
+from dci_lab.dci import DciParams, pool_scores
 from dci_lab.models import EnsemblePrediction, fit_ensemble, knn_predict
 
 
@@ -127,67 +126,60 @@ class TestExperimentConfigValidation:
         )
 
 
-def boundary_context(batch_size=50):
-    """Two labelled clusters on a line; pool index 4 sits on the boundary."""
-    features = np.array(
-        [[0.0], [0.2], [10.0], [10.2], [5.0], [0.1], [9.9], [0.3]]
-    )
-    codes = np.array([0, 0, 1, 1, 0, 0, 1, 0])
-    return SelectionContext(
-        features=features,
-        codes=codes,
-        n_classes=2,
-        labelled=np.array([0, 1, 2, 3]),
-        labelled_features=features[:4],
-        batch_size=batch_size,
-    )
+# Two labelled clusters on a line, pool rows 0-3; pool index 4 sits on the boundary.
+LINE_FEATURES = np.array([[0.0], [0.2], [10.0], [10.2], [5.0], [0.1], [9.9], [0.3]])
+LINE_CODES = np.array([0, 0, 1, 1, 0, 0, 1, 0])
+
+
+def line_dci_score(sign=1.0):
+    """Candidates' DCI scores against the labelled rows 0-3, times ``sign``:
+    -1 ranks the purest first, as dci-low does."""
+
+    def score(cands):
+        query = LINE_FEATURES[cands]
+        (s,) = pool_scores(LINE_FEATURES[:4], LINE_CODES[:4], 2, query, [DciParams(k=4)])
+        return sign * s
+
+    return score
 
 
 class TestSelectNext:
     def test_random_takes_first_draw(self):
-        ctx = boundary_context(batch_size=3)
         unlabelled = np.array([4, 5, 6, 7])
         rng = np.random.default_rng(123)
         want = int(np.random.default_rng(123).choice(unlabelled, size=3, replace=False)[0])
-        assert select_next(unlabelled, Strategy(tag="random"), ctx, rng) == want
+        assert select_next(unlabelled, 3, rng) == want
 
     def test_dci_high_picks_the_boundary_point(self):
-        ctx = boundary_context()
-        strat = Strategy(tag="dci-high", dci_params=DciParams(k=4))
-        pick = select_next(np.array([4, 5, 6, 7]), strat, ctx, np.random.default_rng(0))
+        pick = select_next(np.array([4, 5, 6, 7]), 50, np.random.default_rng(0), line_dci_score())
         assert pick == 4  # the x=5 midpoint, surrounded by both classes
 
     def test_dci_low_picks_the_purest_point(self):
-        ctx = boundary_context()
-        strat = Strategy(tag="dci-low", dci_params=DciParams(k=4))
-        pick = select_next(np.array([4, 5, 6, 7]), strat, ctx, np.random.default_rng(0))
+        pick = select_next(np.array([4, 5, 6, 7]), 50, np.random.default_rng(0), line_dci_score(-1.0))
         assert pick == 5  # x=0.1, deep inside the class-0 cluster
 
     def test_model_uncertainty_uses_supplied_scores(self):
-        ctx = boundary_context()
         seen = {}
 
         def score(cands):
             seen["cands"] = cands.copy()
             return np.where(cands == 6, 9.0, 0.0)
 
-        ctx.model_score = score
-        strat = Strategy(tag="model-uncertainty", kind="max_prob")
-        pick = select_next(np.array([7, 6, 5, 4]), strat, ctx, np.random.default_rng(0))
+        pick = select_next(np.array([7, 6, 5, 4]), 50, np.random.default_rng(0), score)
         assert pick == 6
         assert seen["cands"].tolist() == sorted(seen["cands"].tolist())
 
     def test_score_ties_go_to_lowest_pool_index(self):
-        ctx = boundary_context()
-        ctx.model_score = lambda cands: np.zeros(cands.size)
-        strat = Strategy(tag="model-uncertainty", kind="max_prob")
-        pick = select_next(np.array([7, 5, 6]), strat, ctx, np.random.default_rng(0))
+        score = lambda cands: np.zeros(cands.size)
+        pick = select_next(np.array([7, 5, 6]), 50, np.random.default_rng(0), score)
         assert pick == 5
+        # Negated scores, as dci-low's, tie -0.0 with 0.0.
+        signed = lambda cands: np.where(cands == 5, -0.0, 0.0)
+        assert select_next(np.array([7, 5, 6]), 50, np.random.default_rng(0), signed) == 5
 
     def test_empty_pool_rejected(self):
-        ctx = boundary_context()
         with pytest.raises(ValueError):
-            select_next(np.array([], dtype=int), Strategy(tag="random"), ctx, np.random.default_rng(0))
+            select_next(np.array([], dtype=int), 50, np.random.default_rng(0))
 
 
 class TestRunExperiment:
@@ -280,7 +272,8 @@ class TestKnnTestLists:
         def fresh(boundary, X, neighbors=None):
             assert neighbors is not None
             seen.append(X.shape[0])
-            out = knn_predict(boundary.train, X, boundary.config.model.knn_k)
+            train = boundary.config.dataset.select_rows(boundary.labelled)
+            out = knn_predict(train, X, boundary.config.model.knn_k)
             return EnsemblePrediction(per_member=out[None], aggregate=out, task=config.task)
 
         with monkeypatch.context() as m:
@@ -351,7 +344,7 @@ class TestKnnTestLists:
         counted(models, "knn_predict")
         counted(models, "knn")
         counted(neighbors, "knn")
-        counted(active, "nearest_neighbors")
+        counted(dci, "nearest_neighbors")
         config = self.blob_config(rng, Strategy(tag="model-uncertainty", kind="max_prob"))
         curves = [run_experiment(config, seed).points for seed in (1, 2)]
         assert calls == []

@@ -1,6 +1,7 @@
 """End-to-end command line runs against library-derived oracles."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -80,6 +81,16 @@ class TestScore:
         assert not (tmp_path / "scores.csv").exists()
 
 
+    def test_scores_that_are_not_finite_are_a_data_error(self, tmp_path, capsys):
+        qpath = tmp_path / "q.csv"
+        qpath.write_text("x,y\n0.5,0.5\n40,-40\n")
+        pairs = {"score.query": str(qpath), "data.standardize": "false", "dci.alpha": "300"}
+        cfg = write_cfg(tmp_path / "c.cfg", **base_pairs(**pairs))
+        assert main(["score", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "not finite at alpha = 300" in capsys.readouterr().err
+        assert not (tmp_path / "scores.csv").exists()
+
+
 class TestGrid:
     def test_writes_field_and_reruns_identically(self, tmp_path):
         cfg = write_cfg(
@@ -102,6 +113,15 @@ class TestGrid:
         assert body == (out2 / "field.csv").read_bytes()
         lines = body.decode().splitlines()
         assert lines[0] == "x,y,dci" and len(lines) == 65
+
+    def test_scores_that_are_not_finite_are_a_data_error(self, tmp_path, capsys):
+        # Unstandardized points 40 units out: d^300 overflows.
+        grid = {"grid.x_min": "-40", "grid.x_max": "40", "grid.y_min": "-40", "grid.y_max": "40"}
+        pairs = {"data.standardize": "false", "dci.alpha": "300", "grid.resolution": "20"}
+        cfg = write_cfg(tmp_path / "c.cfg", **base_pairs(**grid, **pairs))
+        assert main(["grid", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "not finite at alpha = 300" in capsys.readouterr().err
+        assert not (tmp_path / "field.csv").exists()
 
     def test_grid_needs_two_features(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -425,3 +445,62 @@ class TestErrorPaths:
         assert main(["score", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert f"d.csv:3: non-finite value '{bad}'" in capsys.readouterr().err
         assert not (tmp_path / "scores.csv").exists()
+
+
+def sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestOutputBytes:
+    """The bytes of score, grid and analyze outputs on the small configs
+    above, pinned so that a change of how they are computed shows."""
+
+    def test_score(self, tmp_path, rng):
+        queries = rng.normal(2.0, 2.0, size=(6, 2))
+        qpath = tmp_path / "q.csv"
+        qpath.write_text("x,y\n" + "".join(f"{a},{b}\n" for a, b in queries.tolist()))
+        cfg = write_cfg(
+            tmp_path / "c.cfg", **base_pairs(**{"score.query": str(qpath), "dci.k": "5"})
+        )
+        assert main(["score", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert sha256(tmp_path / "scores.csv") == (
+            "e9701ec076fd0e2a76025fab0e4e980e0f6f3ce648b4e7eef74fbd3152e3ac27"
+        )
+
+    def test_grid(self, tmp_path):
+        grid = {"grid.x_min": "-2", "grid.x_max": "6", "grid.y_min": "-2", "grid.y_max": "5"}
+        cfg = write_cfg(
+            tmp_path / "c.cfg", **base_pairs(**grid, **{"grid.resolution": "8", "dci.k": "5"})
+        )
+        assert main(["grid", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert sha256(tmp_path / "field.csv") == (
+            "d6ce2579088a70916587098985989596310f799e05e0f2d0efe3f10ad3f8c10f"
+        )
+
+    def test_analyze(self, tmp_path):
+        pairs = {
+            "data.n": "150",
+            "model.kind": "ensemble",
+            "model.n_trees": "5",
+            "analyze.train_sizes": "12,20",
+            "analyze.n_splits": "2",
+            "analyze.test_size": "60",
+            "analyze.alphas": "1.0,2.0",
+            "analyze.betas": "1.2",
+            "analyze.kinds": "max_prob,mean_std",
+            "dci.k": "5",
+        }
+        cfg = write_cfg(tmp_path / "c.cfg", **base_pairs(**pairs))
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 0
+        got = {path.name: sha256(path) for path in sorted(out.iterdir())}
+        assert got == {
+            "decile_train12_dci-a1-b1.2.csv": "8d0d2ccfb2be3a60704a2edc693baa1a96a0fe9894825d2ee0f530415394b430",
+            "decile_train12_dci-a2-b1.2.csv": "1944a9c8db9986dba2bff73a5b0f03ba109f03bad4ea418c72a78bd03658f66f",
+            "decile_train12_max_prob.csv": "79caeb58f2140000d6bd663e301c544c97c5ebe6d740a0e2d150727f190953e1",
+            "decile_train12_mean_std.csv": "1e237ce07b8a19bd066797ecdf239048948b14737ab3c991727d3d3ef1733e32",
+            "decile_train20_dci-a1-b1.2.csv": "104e5cfc63196a7d1e8fef6ec28631a2bef8b34a1ec8a6699f3e2b1794111bc1",
+            "decile_train20_dci-a2-b1.2.csv": "104e5cfc63196a7d1e8fef6ec28631a2bef8b34a1ec8a6699f3e2b1794111bc1",
+            "decile_train20_max_prob.csv": "104e5cfc63196a7d1e8fef6ec28631a2bef8b34a1ec8a6699f3e2b1794111bc1",
+            "decile_train20_mean_std.csv": "104e5cfc63196a7d1e8fef6ec28631a2bef8b34a1ec8a6699f3e2b1794111bc1",
+        }

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import make_classification
+from conftest import make_classification, make_regression
 from dci_lab import dci
 from dci_lab.dataset import DataError
 from dci_lab.dci import (
@@ -16,9 +16,10 @@ from dci_lab.dci import (
     dci_field,
     dci_score,
     dci_scores,
+    pool_scores,
     write_field_csv,
 )
-from dci_lab.neighbors import NeighborSet, knn
+from dci_lab.neighbors import NeighborSet, _sq_norms, knn, nearest_neighbors
 
 
 def naive_dci(labels, distances, n_classes, params):
@@ -212,6 +213,19 @@ class TestDciScores:
         with pytest.raises(DataError):
             dci_scores(np.array([[0, 1]]), np.array([[1.0, bad]]), 2)
 
+    @pytest.mark.parametrize(
+        "distances, params",
+        [
+            # d^-beta underflows to 0 while the numerator does not: inf.
+            ([[1e200, 2e200, 3e200]], DciParams(k=3)),
+            # d^alpha overflows: both sums are 0, so 0 / 0.
+            ([[1e3, 2e3, 3e3]], DciParams(k=3, alpha=200.0)),
+        ],
+    )
+    def test_scores_that_are_not_finite_are_a_data_error(self, distances, params):
+        with pytest.raises(DataError, match=f"alpha = {params.alpha:g}, beta = 1.2"):
+            dci_scores(np.array([[0, 1, 0]]), np.array(distances), 2, params)
+
 
 class TestDciScore:
     def test_neighbor_set_scalar_and_default_class_count(self, rng):
@@ -313,3 +327,73 @@ class TestGrid:
         assert got == pytest.approx(field, rel=1e-8)
         with pytest.raises(ValueError):
             write_field_csv(path, grid, field[:2])
+
+
+class TestPoolScores:
+    """pool_scores is one search followed by dci_scores per parameter set,
+    bit for bit."""
+
+    @staticmethod
+    def composed(features, codes, n_classes, queries, params):
+        idx, dist = nearest_neighbors(queries, features, params.k)
+        return dci_scores(codes[idx], dist, n_classes, params)
+
+    @staticmethod
+    def tied_pool(rng):
+        # Rounded points: exact distance ties, and duplicate rows.
+        X = np.round(rng.normal(size=(60, 3)))
+        X[40:50] = X[:10]
+        return X, np.round(rng.normal(size=(25, 3)))
+
+    def test_ties_and_duplicate_rows(self, rng):
+        X, Q = self.tied_pool(rng)
+        codes = rng.integers(0, 3, size=60)
+        for params in (DciParams(k=1), DciParams(k=7), DciParams(k=60), DciParams(k=99)):
+            (got,) = pool_scores(X, codes, 3, Q, [params])
+            assert got.tobytes() == self.composed(X, codes, 3, Q, params).tobytes()
+
+    def test_numeric_label_coded_by_value(self, rng):
+        X, Q = self.tied_pool(rng)
+        values = rng.choice([-1.5, 0.0, 2.25, 7.0], size=60)
+        codes, n_classes = make_regression(X, values).class_codes
+        assert n_classes == 4
+        params = DciParams(k=9)
+        (got,) = pool_scores(X, codes, n_classes, Q, [params])
+        assert got.tobytes() == self.composed(X, codes, n_classes, Q, params).tobytes()
+
+    def test_several_parameter_sets_share_one_search(self, rng, monkeypatch):
+        X, Q = self.tied_pool(rng)
+        codes = rng.integers(0, 2, size=60)
+        params = [DciParams(k=8, alpha=a, beta=b) for a in (1.0, 1.5, 3.0) for b in (1.0, 1.2)]
+        separate = [self.composed(X, codes, 2, Q, p) for p in params]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return nearest_neighbors(*args, **kwargs)
+
+        monkeypatch.setattr(dci, "nearest_neighbors", counted)
+        got = pool_scores(X, codes, 2, Q, params)
+        assert len(calls) == 1
+        assert [g.tobytes() for g in got] == [w.tobytes() for w in separate]
+
+    def test_given_norms_equal_computed_ones(self, rng):
+        X, Q = self.tied_pool(rng)
+        codes = rng.integers(0, 3, size=60)
+        params = [DciParams(k=5), DciParams(k=5, alpha=2.0)]
+        given = pool_scores(X, codes, 3, Q, params, q_sq=_sq_norms(Q), ref_sq=_sq_norms(X))
+        computed = pool_scores(X, codes, 3, Q, params)
+        assert [g.tobytes() for g in given] == [c.tobytes() for c in computed]
+
+    def test_zero_queries_and_zero_parameter_sets(self, rng):
+        X, _ = self.tied_pool(rng)
+        codes = rng.integers(0, 3, size=60)
+        (got,) = pool_scores(X, codes, 3, np.empty((0, 3)), [DciParams(k=4)])
+        assert got.shape == (0,)
+        assert pool_scores(X, codes, 3, X[:2], []) == []
+
+    def test_parameter_sets_must_share_k(self, rng):
+        X, Q = self.tied_pool(rng)
+        with pytest.raises(ValueError):
+            pool_scores(X, np.zeros(60, np.int64), 1, Q, [DciParams(k=4), DciParams(k=5)])
+

@@ -189,6 +189,18 @@ class TestAgainstBruteForce:
         with pytest.raises(DataError):
             nearest_neighbors(X, Y, 2)
 
+    def test_messages_tell_an_overflowing_norm_from_a_non_finite_cell(self, rng):
+        X = rng.normal(size=(6, 2))
+        big, bad = X.copy(), X.copy()
+        big[3, 1] = 1e200  # finite, but its square is not
+        bad[3, 1] = np.inf
+        with pytest.raises(DataError, match="squared norm of a reference row overflowed"):
+            nearest_neighbors(X, big, 2)
+        with pytest.raises(DataError, match="squared norm of a query row overflowed"):
+            nearest_neighbors(big, X, 2)
+        with pytest.raises(DataError, match="reference rows must be finite"):
+            nearest_neighbors(X, bad, 2)
+
 
 @st.composite
 def growth_problems(draw):
