@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from dci_lab.active import ExperimentConfig, ModelConfig, aggregate, run_many
+from dci_lab import ExperimentConfig, ModelConfig, aggregate, run_many
 from dci_lab.config import parse_strategy
 from dci_lab.dataset import one_hot, standardize
 from dci_lab.dci import DciParams
@@ -54,30 +54,28 @@ def main() -> None:
     test_size = args.test_size if args.test_size is not None else ds.n_rows // 4
     params = DciParams(k=args.k, alpha=args.alpha, beta=args.beta)
 
-    configs = [
-        ExperimentConfig(
-            dataset=ds,
-            strategy=parse_strategy(label.strip(), params),
-            model=ModelConfig(kind="ensemble", n_trees=args.trees),
-            metric=metric,
-            initial_train_size=args.initial,
-            additions_per_update=args.additions,
-            n_updates=args.updates,
-            n_seeds=args.seeds,
-            test_size=test_size,
-        )
-        for label in args.strategies.split(",")
-    ]
+    labels = args.strategies.split(",")
+    config = ExperimentConfig(
+        dataset=ds,
+        strategies=tuple(parse_strategy(label.strip(), params) for label in labels),
+        model=ModelConfig(kind="ensemble", n_trees=args.trees),
+        metric=metric,
+        initial_train_size=args.initial,
+        additions_per_update=args.additions,
+        n_updates=args.updates,
+        n_seeds=args.seeds,
+        test_size=test_size,
+    )
     t0 = time.perf_counter()
-    curves = run_many(configs)
+    curves = run_many(config)
     print(
         f"{args.pool}: {ds.n_rows} rows, metric {metric}, "
         f"schedule {args.initial} + {args.additions} x {args.updates}, "
         f"{args.seeds} seeds ({time.perf_counter() - t0:.1f}s)"
     )
     finals = {r.strategy: r for r in aggregate(curves)}  # each label's last row is its final size
-    for config in configs:
-        label = config.strategy.label
+    for strategy in config.strategies:
+        label = strategy.label
         final = [c.points[-1][1] for c in curves if c.strategy == label]
         print(f"  {label:28s} final {metric} mean {np.mean(final):.4f} median {finals[label].median:.4f}")
 

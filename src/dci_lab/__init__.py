@@ -29,8 +29,8 @@ from dci_lab.dataset import (
 from dci_lab.neighbors import NeighborSet, knn, nearest_neighbors
 from dci_lab.dci import DciParams, GridSpec, dci_field, dci_score, dci_scores, pool_scores
 from dci_lab.models import (
-    EnsembleConfig,
     EnsemblePrediction,
+    ModelConfig,
     TreeEnsemble,
     ensemble_binary_uncertainty,
     fit_ensemble,
@@ -43,7 +43,6 @@ from dci_lab.models import (
 from dci_lab.active import (
     ExperimentConfig,
     LearningCurve,
-    ModelConfig,
     Strategy,
     aggregate,
     run_experiment,
@@ -76,8 +75,8 @@ __all__ = [
     "dci_score",
     "dci_scores",
     "pool_scores",
-    "EnsembleConfig",
     "EnsemblePrediction",
+    "ModelConfig",
     "TreeEnsemble",
     "ensemble_binary_uncertainty",
     "fit_ensemble",
@@ -88,7 +87,6 @@ __all__ = [
     "regression_std_uncertainty",
     "ExperimentConfig",
     "LearningCurve",
-    "ModelConfig",
     "Strategy",
     "aggregate",
     "run_experiment",

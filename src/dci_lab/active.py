@@ -12,7 +12,8 @@ the live labelled set, which needs no training at all.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
@@ -25,8 +26,8 @@ from .neighbors import _sq_norms, extend_neighbors
 from .models import (
     CLASSIFICATION,
     UNCERTAINTY,
-    EnsembleConfig,
     EnsemblePrediction,
+    ModelConfig,
     fit_ensemble,
     knn_from_labels,
     predict,
@@ -87,30 +88,6 @@ class Strategy:
         return self.tag
 
 
-@dataclass(frozen=True)
-class ModelConfig:
-    """The predictor retrained at update boundaries."""
-
-    kind: str = "ensemble"
-    n_trees: int = 10
-    max_depth: int | None = None
-    min_leaf: int = 1
-    knn_k: int = 5
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("ensemble", "knn"):
-            raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.knn_k < 1:
-            raise ValueError("knn_k must be at least 1")
-        self.ensemble(0)  # EnsembleConfig checks the tree fields
-
-    def ensemble(self, seed: int) -> EnsembleConfig:
-        """The bagging settings of this model, seeded for one fit."""
-        return EnsembleConfig(
-            n_trees=self.n_trees, max_depth=self.max_depth, min_leaf=self.min_leaf, seed=seed
-        )
-
-
 def check_uncertainty(kind: str, ds: Dataset, model: ModelConfig) -> None:
     """Raise ValueError unless uncertainty ``kind`` fits the label and the model."""
     if kind not in UNCERTAINTY:
@@ -129,12 +106,18 @@ def check_uncertainty(kind: str, ds: Dataset, model: ModelConfig) -> None:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment: every strategy runs the same schedule on each seed.
+
+    ``strategies`` may be given as any sequence and is kept as a tuple;
+    their labels name the curves, so no two may share one.
+    """
+
     dataset: Dataset
-    strategy: Strategy
+    strategies: tuple[Strategy, ...]
     model: ModelConfig = field(default_factory=ModelConfig)
     metric: str = "accuracy"
     initial_train_size: int = 10
-    additions_per_update: int = 5
+    additions_per_update: int = 1
     n_updates: int = 0
     n_seeds: int = 1
     candidate_batch_size: int = 5
@@ -142,6 +125,12 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         ds = self.dataset
+        object.__setattr__(self, "strategies", tuple(self.strategies))
+        labels = [strategy.label for strategy in self.strategies]
+        if not labels:
+            raise ValueError("strategies must name at least one strategy")
+        if len(set(labels)) != len(labels):
+            raise ValueError("strategies contains duplicates")
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
         if min(self.initial_train_size, self.candidate_batch_size, self.test_size) < 1:
@@ -162,8 +151,9 @@ class ExperimentConfig:
             raise ValueError(f"{self.metric} requires a class label")
         if self.metric == "auroc" and ds.class_count != 2:
             raise ValueError("auroc requires a binary label")
-        if self.strategy.tag == MODEL_UNCERTAINTY:
-            check_uncertainty(self.strategy.kind, ds, self.model)
+        for strategy in self.strategies:
+            if strategy.tag == MODEL_UNCERTAINTY:
+                check_uncertainty(strategy.kind, ds, self.model)
 
     @property
     def task(self) -> str:
@@ -218,6 +208,8 @@ def select_next(
     lowest pool index.
     """
     unlabelled = np.asarray(unlabelled)
+    if batch_size < 1:
+        raise ValueError("batch_size must be at least 1")
     if unlabelled.size == 0:
         raise ValueError("the unlabelled pool is empty")
     m = min(batch_size, unlabelled.size)
@@ -241,7 +233,7 @@ class _BoundaryModel:
         self.ensemble = None
         if config.model.kind == "ensemble":
             train = config.dataset.select_rows(labelled)
-            self.ensemble = fit_ensemble(train, config.model.ensemble(seed))
+            self.ensemble = fit_ensemble(train, config.model, seed)
 
     def _predict(self, X: np.ndarray, neighbors: np.ndarray | None) -> EnsemblePrediction:
         """Predictions for rows X. The kNN model reads them from
@@ -367,15 +359,16 @@ def _seed_start(config: ExperimentConfig, seed: int) -> _SeedStart:
     return _SeedStart(pool_sq, test, labelled, np.sort(perm[n_held:]), *first)
 
 
-def run_experiment(config: ExperimentConfig, seed: int, start: _SeedStart | None = None) -> LearningCurve:
-    """One seeded simulation producing n_updates + 1 curve points.
+def run_experiment(config: ExperimentConfig, seed: int) -> list[LearningCurve]:
+    """One seeded simulation per strategy, each producing n_updates + 1
+    curve points; the seed's split and first boundary are computed once."""
+    start = _seed_start(config, seed)
+    return [_curve(config, strategy, seed, start) for strategy in config.strategies]
 
-    ``start`` is the seed's split and first boundary when already computed
-    for another strategy; by default it is computed here.
-    """
+
+def _curve(config: ExperimentConfig, strategy: Strategy, seed: int, start: _SeedStart) -> LearningCurve:
+    """The curve of one strategy from the seed's split and first boundary."""
     ds = config.dataset
-    if start is None:
-        start = _seed_start(config, seed)
     rng_select = np.random.default_rng([seed, _STREAM_SELECT])
     # The labelled set lives in preallocated buffers that picks append to in
     # place; selection reads views of their first n_lab rows.
@@ -390,7 +383,6 @@ def run_experiment(config: ExperimentConfig, seed: int, start: _SeedStart | None
     # Impurity scoring always needs class ids; for a numeric label the
     # distinct values over the whole dataset act as the classes.
     codes, n_classes = ds.class_codes
-    strategy = config.strategy
     use_pca = strategy.pca_components > 0
     pool_sq = start.pool_sq
     boundary, value, test_nbrs = start.model, start.value, start.test_nbrs
@@ -457,37 +449,18 @@ def run_experiment(config: ExperimentConfig, seed: int, start: _SeedStart | None
     )
 
 
-def _run_seed(args: tuple[list[ExperimentConfig], int]) -> list[LearningCurve]:
-    configs, seed = args
-    start = _seed_start(configs[0], seed)
-    return [run_experiment(config, seed, start) for config in configs]
-
-
-def run_many(
-    configs: Sequence[ExperimentConfig], base_seed: int = 0, threads: int = 1
-) -> list[LearningCurve]:
-    """n_seeds independent experiments per config, with seeds base_seed,
-    base_seed+1, ...; the curves come config by config, seed by seed.
-
-    The configs may differ only in strategy: each seed's split and first
-    update boundary are computed once and shared by all of them.
-    """
-    configs = list(configs)
-    if not configs:
-        raise ValueError("no experiment configs")
-    first = configs[0]
-    for config in configs:
-        if config.dataset is not first.dataset or replace(config, strategy=first.strategy) != first:
-            raise ValueError("the experiment configs may differ only in strategy")
-    tasks = [(configs, base_seed + i) for i in range(first.n_seeds)]
-    if threads > 1 and len(tasks) > 1:
+def run_many(config: ExperimentConfig, base_seed: int = 0, threads: int = 1) -> list[LearningCurve]:
+    """n_seeds runs of the experiment, with seeds base_seed, base_seed+1,
+    ...; the curves come strategy by strategy, seed by seed."""
+    seeds = range(base_seed, base_seed + config.n_seeds)
+    if threads > 1 and len(seeds) > 1:
         # Never more workers than seeds: with the fork start method the pool
         # forks every worker up front, whether or not it gets a task.
-        with ProcessPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-            per_seed = list(pool.map(_run_seed, tasks))
+        with ProcessPoolExecutor(max_workers=min(threads, len(seeds))) as pool:
+            per_seed = list(pool.map(partial(run_experiment, config), seeds))
     else:
-        per_seed = [_run_seed(task) for task in tasks]
-    return [curves[j] for j in range(len(configs)) for curves in per_seed]
+        per_seed = [run_experiment(config, seed) for seed in seeds]
+    return [curves[j] for j in range(len(config.strategies)) for curves in per_seed]
 
 
 def aggregate(curves: Sequence[LearningCurve]) -> list[SummaryRow]:

@@ -188,26 +188,22 @@ def cmd_simulate(cfg: Cfg, out_dir: Path, seed: int, threads: int) -> None:
     ds, _ = prepare_dataset(cfg)
     params = build_dci_params(cfg)
     model = build_model_config(cfg)
-    strategies = parse_strategies(cfg, params)
     try:
-        exps = [
-            ExperimentConfig(
-                dataset=ds,
-                strategy=strategy,
-                model=model,
-                metric=cfg.str("experiment.metric", choices=("auroc", "accuracy", "rmse")),
-                initial_train_size=cfg.int("experiment.initial_train_size"),
-                additions_per_update=cfg.int("experiment.additions_per_update", 1),
-                n_updates=cfg.int("experiment.n_updates", 0),
-                n_seeds=cfg.int("experiment.n_seeds", 1),
-                candidate_batch_size=cfg.int("experiment.candidate_batch_size", 5),
-                test_size=cfg.int("experiment.test_size"),
-            )
-            for strategy in strategies
-        ]
+        exp = ExperimentConfig(
+            dataset=ds,
+            strategies=parse_strategies(cfg, params),
+            model=model,
+            metric=cfg.str("experiment.metric", choices=("auroc", "accuracy", "rmse")),
+            initial_train_size=cfg.int("experiment.initial_train_size"),
+            additions_per_update=cfg.int("experiment.additions_per_update", 1),
+            n_updates=cfg.int("experiment.n_updates", 0),
+            n_seeds=cfg.int("experiment.n_seeds", 1),
+            candidate_batch_size=cfg.int("experiment.candidate_batch_size", 5),
+            test_size=cfg.int("experiment.test_size"),
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    curves = run_many(exps, base_seed=seed, threads=threads)
+    curves = run_many(exp, base_seed=seed, threads=threads)
     write_curves_csv(out_dir / "curves.csv", curves)
     write_summary_csv(out_dir / "summary.csv", aggregate(curves))
     manifest = RunManifest(
@@ -218,7 +214,7 @@ def cmd_simulate(cfg: Cfg, out_dir: Path, seed: int, threads: int) -> None:
         dataset_columns=ds.n_features,
         dataset_sha256=dataset_fingerprint(ds),
         outputs={
-            s.label: {"curves": "curves.csv", "summary": "summary.csv"} for s in strategies
+            s.label: {"curves": "curves.csv", "summary": "summary.csv"} for s in exp.strategies
         },
     )
     (out_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
@@ -274,7 +270,7 @@ def cmd_analyze(cfg: Cfg, out_dir: Path, seed: int) -> None:
             end = size + test_size if test_size else ds.n_rows
             test_idx = perm[size:end]
             train_ds = ds.select_rows(train_idx)
-            ens = fit_ensemble(train_ds, model.ensemble(_analyze_seed(seed, split)))
+            ens = fit_ensemble(train_ds, model, _analyze_seed(seed, split))
             pred = predict(ens, ds.features[test_idx])
             correct = (pred.aggregate.argmax(axis=1) == ds.labels[test_idx]).astype(np.int64)
             for kind in kinds:

@@ -11,8 +11,9 @@ from __future__ import annotations
 import re
 from pathlib import Path
 
-from .active import ModelConfig, Strategy
+from .active import Strategy
 from .dci import DciParams, GridSpec
+from .models import ModelConfig
 
 
 class ConfigError(Exception):
@@ -361,10 +362,6 @@ def parse_strategy(label: str, dci_params: DciParams) -> Strategy:
     )
 
 
-def parse_strategies(cfg: Cfg, dci_params: DciParams) -> list[Strategy]:
+def parse_strategies(cfg: Cfg, dci_params: DciParams) -> tuple[Strategy, ...]:
     labels = cfg.list("strategies", "random,dci-high")
-    if not labels:
-        raise ConfigError("strategies must name at least one strategy")
-    if len(set(labels)) != len(labels):
-        raise ConfigError("strategies contains duplicates")
-    return [parse_strategy(label, dci_params) for label in labels]
+    return tuple(parse_strategy(label, dci_params) for label in labels)

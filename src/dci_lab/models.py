@@ -9,7 +9,7 @@ ensemble's per-member predictions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -24,21 +24,30 @@ _LEAF = -1
 
 
 @dataclass(frozen=True)
-class EnsembleConfig:
-    """Bagging hyperparameters; max_depth None grows trees to purity."""
+class ModelConfig:
+    """The predictor: a bagged tree ensemble or k nearest neighbours.
 
+    The tree fields apply to the ensemble; max_depth None grows trees to
+    purity.
+    """
+
+    kind: str = "ensemble"
     n_trees: int = 10
     max_depth: int | None = None
     min_leaf: int = 1
-    seed: int = 0
+    knn_k: int = 5
 
     def __post_init__(self) -> None:
+        if self.kind not in ("ensemble", "knn"):
+            raise ValueError(f"unknown model kind {self.kind!r}")
         if self.n_trees < 1:
             raise ValueError("n_trees must be at least 1")
         if self.max_depth is not None and self.max_depth < 0:
             raise ValueError("max_depth must be None or >= 0")
         if self.min_leaf < 1:
             raise ValueError("min_leaf must be at least 1")
+        if self.knn_k < 1:
+            raise ValueError("knn_k must be at least 1")
 
 
 class _TreeView(NamedTuple):
@@ -69,13 +78,8 @@ class TreeEnsemble:
     value: np.ndarray
     task: str
     n_features: int
+    n_trees: int
     n_classes: int = 0
-    rng_seed: int = 0
-    config: EnsembleConfig = field(default_factory=EnsembleConfig)
-
-    @property
-    def n_trees(self) -> int:
-        return self.config.n_trees
 
     @property
     def trees(self) -> tuple[_TreeView, ...]:
@@ -218,7 +222,7 @@ def _best_splits(
 
 
 def _grow_trees(
-    X: np.ndarray, y: np.ndarray, boots: list[np.ndarray], task: str, n_classes: int, config: EnsembleConfig
+    X: np.ndarray, y: np.ndarray, boots: list[np.ndarray], task: str, n_classes: int, model: ModelConfig
 ) -> tuple[np.ndarray, ...]:
     """One tree per bootstrap row list, grown one depth at a time.
 
@@ -239,8 +243,8 @@ def _grow_trees(
         starts = np.cumsum(sizes) - sizes
         y_rows = y[rows]
         lo, hi = np.minimum.reduceat(y_rows, starts), np.maximum.reduceat(y_rows, starts)
-        grow = (hi != lo if task == CLASSIFICATION else hi - lo != 0.0) & (sizes >= max(2, 2 * config.min_leaf))
-        if config.max_depth is not None and depth >= config.max_depth:
+        grow = (hi != lo if task == CLASSIFICATION else hi - lo != 0.0) & (sizes >= max(2, 2 * model.min_leaf))
+        if model.max_depth is not None and depth >= model.max_depth:
             grow[:] = False
         todo = np.flatnonzero(grow)
         todo = todo[np.argsort(-sizes[todo], kind="stable")]
@@ -252,7 +256,7 @@ def _grow_trees(
             batch, todo = batch[2 * sizes[batch] >= m], todo[np.count_nonzero(2 * sizes[batch] >= m) :]
             n = sizes[batch]
             at = np.minimum(np.arange(m), n[:, None] - 1) + starts[batch][:, None]
-            f, pos, sorted_rows = _best_splits(ranks, y, rows[at], n, task, n_classes, config.min_leaf)
+            f, pos, sorted_rows = _best_splits(ranks, y, rows[at], n, task, n_classes, model.min_leaf)
             ok = np.flatnonzero(pos >= 0)
             chosen = sorted_rows[f[ok], ok]
             found.append((batch[ok], f[ok], pos[ok], chosen[np.arange(m) < n[ok, None]]))
@@ -294,12 +298,12 @@ def _grow_trees(
     return feature, threshold, left, right, value
 
 
-def fit_ensemble(train: Dataset, config: EnsembleConfig = EnsembleConfig()) -> TreeEnsemble:
-    """Fit bagged trees on a dataset; the task follows the label kind.
+def fit_ensemble(train: Dataset, model: ModelConfig = ModelConfig(), seed: int = 0) -> TreeEnsemble:
+    """Fit the model's bagged trees on a dataset; the task follows the label kind.
 
     Each tree trains on an n-with-replacement bootstrap resample drawn from
-    its own stream seeded with (config.seed + tree index), so a given tree
-    is reproducible regardless of fitting order.
+    its own stream seeded with (seed + tree index), so a given tree is
+    reproducible regardless of fitting order.
     """
     if train.n_rows < 1:
         raise ValueError("training set is empty")
@@ -308,16 +312,15 @@ def fit_ensemble(train: Dataset, config: EnsembleConfig = EnsembleConfig()) -> T
     X = train.features
     y = train.labels.astype(np.float64) if task == REGRESSION else train.labels
     boots = [
-        np.random.default_rng(config.seed + t).integers(0, train.n_rows, size=train.n_rows)
-        for t in range(config.n_trees)
+        np.random.default_rng(seed + t).integers(0, train.n_rows, size=train.n_rows)
+        for t in range(model.n_trees)
     ]
     return TreeEnsemble(
-        *_grow_trees(X, y, boots, task, n_classes, config),
+        *_grow_trees(X, y, boots, task, n_classes, model),
         task=task,
         n_features=train.n_features,
+        n_trees=model.n_trees,
         n_classes=n_classes,
-        rng_seed=config.seed,
-        config=config,
     )
 
 

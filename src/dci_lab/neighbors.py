@@ -157,7 +157,6 @@ def _nearest_sq(
     queries: np.ndarray,
     reference: np.ndarray,
     k: int,
-    exclude_self: bool = False,
     q_sq: np.ndarray | None = None,
     ref_sq: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -166,14 +165,11 @@ def _nearest_sq(
     reference = np.asarray(reference, dtype=np.float64)
     _check_shapes(queries, reference)
     n_ref, d = reference.shape
-    budget = n_ref - 1 if exclude_self else n_ref
     if k < 1:
         raise ValueError("k must be at least 1")
-    if budget < 1:
+    if n_ref < 1:
         raise ValueError("no reference row is available")
-    k = min(k, budget)
-    if exclude_self and queries.shape[0] != n_ref:
-        raise ValueError("exclude_self requires equal query and reference row counts")
+    k = min(k, n_ref)
 
     ref_sq = _norms(reference, ref_sq, "reference")
     q_sq = _norms(queries, q_sq, "query")
@@ -186,8 +182,6 @@ def _nearest_sq(
         c_sq = q_sq[start : start + _CHUNK_ROWS]
         sq = _expanded_sq(chunk, c_sq, reference, ref_sq)
         rows = np.arange(chunk.shape[0])
-        if exclude_self:
-            sq[rows, start + rows] = np.inf
         # One kth value: NumPy partitions several kth values far more slowly.
         part = np.argpartition(sq, k if k < n_ref else k - 1, axis=1)
         cand = part[:, :k]
@@ -215,18 +209,15 @@ def nearest_neighbors(
     queries: np.ndarray,
     reference: np.ndarray,
     k: int,
-    exclude_self: bool = False,
     *,
     q_sq: np.ndarray | None = None,
     ref_sq: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(indices, distances) of the min(k, available) nearest reference rows.
+    """(indices, distances) of the min(k, n_reference) nearest reference rows.
 
-    The raw matrix-level core behind :func:`knn`. ``exclude_self`` treats
-    query row i and reference row i as the same point and skips it, for
-    scoring a set against itself; one reference row fewer is then available.
-    Rows are ordered by (distance, reference index), and distances are
-    direct differences, so coincident points are exactly 0.
+    The raw matrix-level core behind :func:`knn`. Rows are ordered by
+    (distance, reference index), and distances are direct differences, so
+    coincident points are exactly 0.
 
     Per chunk of queries the expansion shortlists k candidates with
     ``argpartition``; only they get an exact distance. A row whose
@@ -238,7 +229,7 @@ def nearest_neighbors(
     ``reference`` when the caller already holds them; by default they are
     computed here. The result does not depend on which.
     """
-    indices, distances = _nearest_sq(queries, reference, k, exclude_self, q_sq, ref_sq)
+    indices, distances = _nearest_sq(queries, reference, k, q_sq, ref_sq)
     np.sqrt(distances, out=distances)
     return indices, distances
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest, spearmanr
 
-from dci_lab.active import ExperimentConfig, ModelConfig, Strategy, run_experiment
+from dci_lab.active import ExperimentConfig, Strategy, run_experiment
 from dci_lab.cli import main
 from dci_lab.dataset import one_hot, standardize
 from dci_lab.dci import DciParams, GridSpec, dci_field, dci_score, dci_scores
@@ -26,8 +26,8 @@ from dci_lab.metrics import auroc, average_reports, decile_analysis
 from dci_lab.models import (
     CLASSIFICATION,
     REGRESSION,
-    EnsembleConfig,
     EnsemblePrediction,
+    ModelConfig,
     ensemble_binary_uncertainty,
     fit_ensemble,
     mean_std_uncertainty,
@@ -174,7 +174,7 @@ def test_05_wine_selection_beats_random_and_low_score_selection():
     def config(strategy):
         return ExperimentConfig(
             dataset=ds,
-            strategy=strategy,
+            strategies=(strategy,),
             model=ModelConfig(kind="ensemble", n_trees=100, min_leaf=5),
             metric="rmse",
             initial_train_size=200,
@@ -192,7 +192,7 @@ def test_05_wine_selection_beats_random_and_low_score_selection():
     t0 = time.perf_counter()
     finals = {
         name: np.array(
-            [run_experiment(config(s), seed=i).points[-1][1] for i in range(30)]
+            [run_experiment(config(s), seed=i)[0].points[-1][1] for i in range(30)]
         )
         for name, s in strategies.items()
     }
@@ -220,7 +220,7 @@ def test_06_census_selection_ordering_and_committee_agreement(census_pool):
     def config(strategy):
         return ExperimentConfig(
             dataset=census_pool,
-            strategy=strategy,
+            strategies=(strategy,),
             model=ModelConfig(kind="ensemble", n_trees=10),
             metric="auroc",
             initial_train_size=400,
@@ -238,7 +238,7 @@ def test_06_census_selection_ordering_and_committee_agreement(census_pool):
     t0 = time.perf_counter()
     finals = {
         name: np.mean(
-            [run_experiment(config(s), seed=i).points[-1][1] for i in range(20)]
+            [run_experiment(config(s), seed=i)[0].points[-1][1] for i in range(20)]
         )
         for name, s in strategies.items()
     }
@@ -260,7 +260,7 @@ def test_07_decile_accuracy_falls_with_score(census_pool):
                 perm = np.random.default_rng([0, 3, split]).permutation(ds.n_rows)
                 tr, te = perm[:size], perm[size:]
                 train = ds.select_rows(tr)
-                ens = fit_ensemble(train, EnsembleConfig(n_trees=10, seed=1000 + split))
+                ens = fit_ensemble(train, ModelConfig(n_trees=10), seed=1000 + split)
                 pred = predict(ens, ds.features[te])
                 correct = (pred.aggregate.argmax(axis=1) == ds.labels[te]).astype(
                     np.int64

@@ -1,6 +1,7 @@
 """Pool-based simulation loop: selection, schedules, determinism, aggregation."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,7 +66,7 @@ class TestExperimentConfigValidation:
     def base(self, rng, **kw):
         defaults = dict(
             dataset=two_blob_dataset(rng),
-            strategy=Strategy(tag="random"),
+            strategies=(Strategy(tag="random"),),
             metric="accuracy",
             initial_train_size=10,
             additions_per_update=2,
@@ -99,31 +100,50 @@ class TestExperimentConfigValidation:
                 dataset=ds_reg,
                 metric="rmse",
                 test_size=5,
-                strategy=Strategy(tag="model-uncertainty", kind="eq3_binary"),
+                strategies=(Strategy(tag="model-uncertainty", kind="eq3_binary"),),
             )
         with pytest.raises(ValueError):
             self.base(
                 rng,
-                strategy=Strategy(tag="model-uncertainty", kind="regression_std"),
+                strategies=(Strategy(tag="model-uncertainty", kind="regression_std"),),
             )
         with pytest.raises(ValueError):
             self.base(
                 rng,
-                strategy=Strategy(tag="model-uncertainty", kind="mean_std"),
+                strategies=(Strategy(tag="model-uncertainty", kind="mean_std"),),
                 model=ModelConfig(kind="ensemble", n_trees=1),
             )
         with pytest.raises(ValueError):
             self.base(
                 rng,
-                strategy=Strategy(tag="model-uncertainty", kind="eq3_binary"),
+                strategies=(Strategy(tag="model-uncertainty", kind="eq3_binary"),),
                 model=ModelConfig(kind="knn"),
             )
         # max_prob works on the aggregate, so the knn fallback qualifies
         self.base(
             rng,
-            strategy=Strategy(tag="model-uncertainty", kind="max_prob"),
+            strategies=(Strategy(tag="model-uncertainty", kind="max_prob"),),
             model=ModelConfig(kind="knn"),
         )
+        # Every strategy is checked, not only the first.
+        with pytest.raises(ValueError):
+            self.base(
+                rng,
+                strategies=(Strategy(tag="random"), Strategy(tag="model-uncertainty", kind="mean_std")),
+                model=ModelConfig(kind="knn"),
+            )
+
+    def test_strategies_are_nonempty_with_unique_labels(self, rng):
+        high = Strategy(tag="dci-high", dci_params=DciParams(k=3))
+        with pytest.raises(ValueError, match="at least one"):
+            self.base(rng, strategies=())
+        with pytest.raises(ValueError, match="duplicates"):
+            self.base(rng, strategies=(high, Strategy(tag="random"), high))
+        # Labels name the curves, so one label with other parameters is a duplicate too.
+        with pytest.raises(ValueError, match="duplicates"):
+            self.base(rng, strategies=(high, Strategy(tag="dci-high", dci_params=DciParams(k=5))))
+        config = self.base(rng, strategies=[Strategy(tag="random"), high])
+        assert config.strategies == (Strategy(tag="random"), high)
 
 
 # Two labelled clusters on a line, pool rows 0-3; pool index 4 sits on the boundary.
@@ -180,13 +200,18 @@ class TestSelectNext:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             select_next(np.array([], dtype=int), 50, np.random.default_rng(0))
+        # So is an empty batch, with and without a score function.
+        with pytest.raises(ValueError, match="batch_size"):
+            select_next(np.arange(5), 0, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="batch_size"):
+            select_next(np.arange(5), 0, np.random.default_rng(0), lambda cands: np.zeros(cands.size))
 
 
 class TestRunExperiment:
     def config(self, rng, **kw):
         defaults = dict(
             dataset=two_blob_dataset(rng),
-            strategy=Strategy(tag="dci-high", dci_params=DciParams(k=5)),
+            strategies=(Strategy(tag="dci-high", dci_params=DciParams(k=5)),),
             model=ModelConfig(kind="knn", knn_k=3),
             metric="accuracy",
             initial_train_size=8,
@@ -199,13 +224,13 @@ class TestRunExperiment:
         return ExperimentConfig(**defaults)
 
     def test_curve_schedule(self, rng):
-        curve = run_experiment(self.config(rng), seed=7)
+        (curve,) = run_experiment(self.config(rng), seed=7)
         assert curve.train_sizes == (8, 11, 14, 17, 20)
         assert curve.strategy == "dci-high" and curve.metric == "accuracy"
         assert all(0.0 <= v <= 1.0 for v in curve.values)
 
     def test_no_updates_gives_single_point(self, rng):
-        curve = run_experiment(self.config(rng, n_updates=0), seed=1)
+        (curve,) = run_experiment(self.config(rng, n_updates=0), seed=1)
         assert curve.train_sizes == (8,)
 
     def test_same_seed_reproduces_exactly(self, rng):
@@ -215,18 +240,18 @@ class TestRunExperiment:
     def test_different_seeds_differ(self, rng):
         # Overlapping blobs so accuracy actually varies with the split.
         config = self.config(
-            rng, dataset=two_blob_dataset(rng, gap=1.5), strategy=Strategy(tag="random")
+            rng, dataset=two_blob_dataset(rng, gap=1.5), strategies=(Strategy(tag="random"),)
         )
-        curves = {run_experiment(config, seed=s).points for s in range(6)}
+        curves = {run_experiment(config, seed=s)[0].points for s in range(6)}
         assert len(curves) > 1
 
     def test_easy_data_reaches_high_accuracy(self, rng):
-        curve = run_experiment(self.config(rng, n_updates=2), seed=0)
+        (curve,) = run_experiment(self.config(rng, n_updates=2), seed=0)
         assert curve.values[-1] >= 0.9  # two blobs 8 sigma apart
 
     def test_pca_feature_space_runs(self, rng):
         strat = Strategy(tag="dci-high", dci_params=DciParams(k=5), pca_components=2)
-        curve = run_experiment(self.config(rng, strategy=strat), seed=2)
+        (curve,) = run_experiment(self.config(rng, strategies=(strat,)), seed=2)
         assert curve.strategy == "dci-high-pca2"
         assert len(curve.points) == 5
 
@@ -235,7 +260,7 @@ class TestRunExperiment:
         ds = make_regression(X, X[:, 0] * 3.0 + rng.normal(size=60) * 0.1)
         config = ExperimentConfig(
             dataset=ds,
-            strategy=Strategy(tag="model-uncertainty", kind="regression_std"),
+            strategies=(Strategy(tag="model-uncertainty", kind="regression_std"),),
             model=ModelConfig(kind="ensemble", n_trees=5),
             metric="rmse",
             initial_train_size=10,
@@ -243,19 +268,19 @@ class TestRunExperiment:
             n_updates=2,
             test_size=15,
         )
-        curve = run_experiment(config, seed=11)
+        (curve,) = run_experiment(config, seed=11)
         assert curve.train_sizes == (10, 15, 20)
         assert all(v >= 0 for v in curve.values)
 
     def test_auroc_metric_with_ensemble(self, rng):
         config = self.config(
             rng,
-            strategy=Strategy(tag="model-uncertainty", kind="eq3_binary"),
+            strategies=(Strategy(tag="model-uncertainty", kind="eq3_binary"),),
             model=ModelConfig(kind="ensemble", n_trees=4),
             metric="auroc",
             n_updates=1,
         )
-        curve = run_experiment(config, seed=5)
+        (curve,) = run_experiment(config, seed=5)
         assert all(0.0 <= v <= 1.0 for v in curve.values)
 
 
@@ -296,7 +321,7 @@ class TestKnnTestLists:
         )
         settings.update(kw)
         return ExperimentConfig(
-            dataset=make_classification(X, np.repeat([0, 1], 60)), strategy=strategy, **settings
+            dataset=make_classification(X, np.repeat([0, 1], 60)), strategies=(strategy,), **settings
         )
 
     @pytest.mark.parametrize(
@@ -346,7 +371,7 @@ class TestKnnTestLists:
         counted(neighbors, "knn")
         counted(dci, "nearest_neighbors")
         config = self.blob_config(rng, Strategy(tag="model-uncertainty", kind="max_prob"))
-        curves = [run_experiment(config, seed).points for seed in (1, 2)]
+        curves = [run_experiment(config, seed)[0].points for seed in (1, 2)]
         assert calls == []
         # The curves as the kNN model gave them when it searched per pick.
         assert curves == [
@@ -366,7 +391,7 @@ class TestKnnTestLists:
         ds = make_regression(X, X[:, 0] * 3.0 + rng.normal(size=150))
         config = ExperimentConfig(
             dataset=ds,
-            strategy=Strategy(tag="dci-high", dci_params=DciParams(k=6)),
+            strategies=(Strategy(tag="dci-high", dci_params=DciParams(k=6)),),
             model=ModelConfig(kind="knn", knn_k=9),
             metric="rmse",
             initial_train_size=4,
@@ -383,7 +408,7 @@ class TestRunMany:
         ds = two_blob_dataset(rng)
         config = ExperimentConfig(
             dataset=ds,
-            strategy=Strategy(tag="random"),
+            strategies=(Strategy(tag="random"),),
             model=ModelConfig(kind="knn", knn_k=3),
             metric="accuracy",
             initial_train_size=5,
@@ -392,9 +417,9 @@ class TestRunMany:
             n_seeds=3,
             test_size=10,
         )
-        curves = run_many([config], base_seed=40)
+        curves = run_many(config, base_seed=40)
         assert [c.seed for c in curves] == [40, 41, 42]
-        again = run_many([config], base_seed=40)
+        again = run_many(config, base_seed=40)
         assert curves == again
 
     @pytest.mark.parametrize("threads, n_seeds, workers", [(64, 2, 2), (2, 3, 2)])
@@ -419,7 +444,7 @@ class TestRunMany:
         monkeypatch.setattr(active, "ProcessPoolExecutor", RecordingPool)
         config = ExperimentConfig(
             dataset=two_blob_dataset(rng),
-            strategy=Strategy(tag="random"),
+            strategies=(Strategy(tag="random"),),
             model=ModelConfig(kind="knn", knn_k=3),
             initial_train_size=5,
             additions_per_update=2,
@@ -427,14 +452,14 @@ class TestRunMany:
             n_seeds=n_seeds,
             test_size=10,
         )
-        curves = run_many([config], base_seed=7, threads=threads)
+        curves = run_many(config, base_seed=7, threads=threads)
         assert sizes == [workers]
-        assert curves == run_many([config], base_seed=7, threads=1)
+        assert curves == run_many(config, base_seed=7, threads=1)
         assert sizes == [workers]
 
 
-def strategy_configs(ds, model, **schedule):
-    """One config per kind of strategy, the same schedule for all."""
+def all_strategies_config(ds, model, **schedule):
+    """One config with a strategy of each kind."""
     params = DciParams(k=3)
     strategies = [
         Strategy(tag="random"),
@@ -444,7 +469,7 @@ def strategy_configs(ds, model, **schedule):
     ]
     if model.kind == "ensemble":
         strategies.append(Strategy(tag="model-uncertainty", kind="eq3_binary"))
-    return [ExperimentConfig(dataset=ds, strategy=s, model=model, **schedule) for s in strategies]
+    return ExperimentConfig(dataset=ds, strategies=strategies, model=model, **schedule)
 
 
 SCHEDULE = dict(initial_train_size=6, additions_per_update=3, n_updates=3, n_seeds=3, test_size=12)
@@ -455,45 +480,51 @@ class TestSharedStart:
         "model", [ModelConfig(kind="knn", knn_k=3), ModelConfig(n_trees=4)], ids=["knn", "ensemble"]
     )
     def test_strategies_together_equal_each_alone(self, rng, model):
-        configs = strategy_configs(two_blob_dataset(rng), model, metric="auroc", **SCHEDULE)
-        together = run_many(configs, base_seed=3)
-        alone = [curve for config in configs for curve in run_many([config], base_seed=3)]
+        config = all_strategies_config(two_blob_dataset(rng), model, metric="auroc", **SCHEDULE)
+        together = run_many(config, base_seed=3)
+        alone = [
+            curve for s in config.strategies for curve in run_many(replace(config, strategies=(s,)), base_seed=3)
+        ]
         assert together == alone
-        assert together == [run_experiment(c, seed) for c in configs for seed in (3, 4, 5)]
+        per_seed = {seed: run_experiment(config, seed) for seed in (3, 4, 5)}
+        assert together == [per_seed[seed][j] for j in range(len(config.strategies)) for seed in (3, 4, 5)]
         assert [(c.strategy, c.seed) for c in together] == [
-            (c.strategy.label, seed) for c in configs for seed in (3, 4, 5)
+            (s.label, seed) for s in config.strategies for seed in (3, 4, 5)
         ]
 
     def test_first_committee_is_fitted_once_per_seed(self, rng, monkeypatch):
         fits = []
 
-        def counting_fit(train, config):
-            fits.append((train.n_rows, config.seed))
-            return fit_ensemble(train, config)
+        def counting_fit(train, model, seed):
+            fits.append((train.n_rows, seed))
+            return fit_ensemble(train, model, seed)
 
         monkeypatch.setattr(active, "fit_ensemble", counting_fit)
-        configs = strategy_configs(two_blob_dataset(rng), ModelConfig(n_trees=3), **SCHEDULE)
-        run_many(configs, base_seed=0)
+        config = all_strategies_config(two_blob_dataset(rng), ModelConfig(n_trees=3), **SCHEDULE)
+        run_many(config, base_seed=0)
         n_seeds, n_updates = SCHEDULE["n_seeds"], SCHEDULE["n_updates"]
-        assert len(fits) == n_seeds * (1 + len(configs) * n_updates)
+        assert len(fits) == n_seeds * (1 + len(config.strategies) * n_updates)
         first = [f for f in fits if f[0] == SCHEDULE["initial_train_size"]]
         assert len(first) == len(set(first)) == n_seeds
 
-    def test_configs_may_differ_only_in_strategy(self, rng):
-        ds = two_blob_dataset(rng)
-        config = ExperimentConfig(dataset=ds, strategy=Strategy(tag="random"), **SCHEDULE)
-        other = ExperimentConfig(dataset=ds, strategy=Strategy(tag="random"), **dict(SCHEDULE, test_size=11))
-        copy = ExperimentConfig(dataset=two_blob_dataset(rng), strategy=Strategy(tag="random"), **SCHEDULE)
-        for bad in ([], [config, other], [config, copy]):
-            with pytest.raises(ValueError):
-                run_many(bad)
-
 
 class TestModelConfig:
-    def test_ensemble_settings(self):
+    def test_ensemble_settings(self, rng):
+        # fit_ensemble grows the model's trees; tree t draws its bootstrap
+        # from seed + t.
+        ds = two_blob_dataset(rng, gap=1.0)
         model = ModelConfig(n_trees=4, max_depth=3, min_leaf=2)
-        ens = model.ensemble(17)
-        assert (ens.n_trees, ens.max_depth, ens.min_leaf, ens.seed) == (4, 3, 2, 17)
+        ens = fit_ensemble(ds, model, seed=17)
+        assert ens.n_trees == len(ens.trees) == 4
+        for tree in ens.trees:
+            depth = np.zeros(tree.feature.size, dtype=int)
+            for node in np.flatnonzero(tree.left >= 0):  # children come after their parent
+                depth[[tree.left[node], tree.right[node]]] = depth[node] + 1
+            assert depth.max() == 3  # overlapping blobs: grown to the limit
+        alone = fit_ensemble(ds, replace(model, n_trees=1), seed=18).trees[0]
+        assert np.array_equal(alone.threshold, ens.trees[1].threshold)
+        deeper = fit_ensemble(ds, replace(model, max_depth=None, min_leaf=1), seed=17)
+        assert deeper.feature.size > ens.feature.size
 
     @pytest.mark.parametrize(
         "bad",

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import make_classification
-from dci_lab.models import EnsembleConfig, fit_ensemble
+from dci_lab.models import ModelConfig, fit_ensemble
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -33,7 +33,7 @@ def test_traced_function_exists(module, name):
 
 def test_tree_counter_reads_a_fitted_ensemble(rng):
     ds = make_classification(rng.normal(size=(60, 3)), rng.integers(0, 2, size=60))
-    ensemble = fit_ensemble(ds, EnsembleConfig(n_trees=4, seed=2))
+    ensemble = fit_ensemble(ds, ModelConfig(n_trees=4), seed=2)
     counts = load_tracer()._count_trees((ds,), {}, ensemble)
     assert counts == {"trees": 4, "nodes": ensemble.feature.size}
     assert ensemble.feature.size > 4  # some tree split, so the views were cut

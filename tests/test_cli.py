@@ -235,6 +235,17 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "labels, message",
+        [(" , ", "at least one strategy"), ("random,dci-high,random", "duplicates")],
+    )
+    def test_strategy_list_must_be_nonempty_and_unique(self, tmp_path, capsys, labels, message):
+        cfg = write_cfg(tmp_path / "c.cfg", **dict(SIM_PAIRS, strategies=labels))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestDatasetFingerprint:
     # Digests of fixed pools, taken when the arrays were hashed through

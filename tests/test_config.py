@@ -151,14 +151,15 @@ class TestStrategyLabels:
             parse_strategy(label, DciParams())
 
     def test_strategy_list_rules(self):
+        # An empty or repeated list is rejected by ExperimentConfig, for
+        # library and CLI callers alike (tests/test_active.py, tests/test_cli.py).
         params = DciParams()
-        cfg = Cfg({"strategies": "random,random"})
+        strategies = parse_strategies(Cfg({"strategies": "dci-low, uncertainty-max_prob"}), params)
+        assert [s.label for s in strategies] == ["dci-low", "uncertainty-max_prob"]
+        assert [s.label for s in parse_strategies(Cfg({}), params)] == ["random", "dci-high"]
+        assert parse_strategies(Cfg({"strategies": " , "}), params) == ()
         with pytest.raises(ConfigError):
-            parse_strategies(cfg, params)
-        with pytest.raises(ConfigError):
-            parse_strategies(Cfg({"strategies": " , "}), params)
-        labels = [s.label for s in parse_strategies(Cfg({}), params)]
-        assert labels == ["random", "dci-high"]
+            parse_strategies(Cfg({"strategies": "random,greedy"}), params)
 
 
 class TestAdultPreset:
@@ -178,7 +179,7 @@ class TestAdultPreset:
 
     def test_eq3_binary_takes_many_values(self):
         _, ds, model = self.small()
-        ens = fit_ensemble(ds.select_rows(np.arange(300)), model.ensemble(0))
+        ens = fit_ensemble(ds.select_rows(np.arange(300)), model)
         u = ensemble_binary_uncertainty(predict(ens, ds.features[300:]))
         assert np.unique(u).size > 1
 
@@ -188,7 +189,7 @@ class TestAdultPreset:
         def curve(label):
             config = ExperimentConfig(
                 dataset=ds,
-                strategy=parse_strategy(label, build_dci_params(cfg)),
+                strategies=(parse_strategy(label, build_dci_params(cfg)),),
                 model=model,
                 metric=cfg.str("experiment.metric"),
                 initial_train_size=cfg.int("experiment.initial_train_size"),
@@ -196,7 +197,7 @@ class TestAdultPreset:
                 n_updates=cfg.int("experiment.n_updates"),
                 test_size=cfg.int("experiment.test_size"),
             )
-            return run_experiment(config, seed=0).values
+            return run_experiment(config, seed=0)[0].values
 
         uncertainty = curve("uncertainty-eq3_binary")
         assert uncertainty != curve("random")

@@ -18,8 +18,8 @@ from dci_lab.dataset import one_hot
 from dci_lab.models import (
     CLASSIFICATION,
     REGRESSION,
-    EnsembleConfig,
     EnsemblePrediction,
+    ModelConfig,
     ensemble_binary_uncertainty,
     fit_ensemble,
     knn_predict,
@@ -79,16 +79,16 @@ def ref_best_split(X, y, task, n_classes, min_leaf):
     return f, float(thr), np.argsort(X[:, f], kind="stable")
 
 
-def ref_grow(X, y, task, n_classes, config, depth=0):
+def ref_grow(X, y, task, n_classes, model, depth=0):
     n = y.shape[0]
     pure = (y == y[0]).all() if task == CLASSIFICATION else np.ptp(y) == 0.0
     found = None
     if (
-        (config.max_depth is None or depth < config.max_depth)
-        and n >= max(2, 2 * config.min_leaf)
+        (model.max_depth is None or depth < model.max_depth)
+        and n >= max(2, 2 * model.min_leaf)
         and not pure
     ):
-        found = ref_best_split(X, y, task, n_classes, config.min_leaf)
+        found = ref_best_split(X, y, task, n_classes, model.min_leaf)
     if found is None:
         if task == CLASSIFICATION:
             value = np.bincount(y.astype(np.int64), minlength=n_classes) / n
@@ -102,8 +102,8 @@ def ref_grow(X, y, task, n_classes, config, depth=0):
     return {
         "feature": f,
         "threshold": thr,
-        "left": ref_grow(X[go_left], y[go_left], task, n_classes, config, depth + 1),
-        "right": ref_grow(X[~go_left], y[~go_left], task, n_classes, config, depth + 1),
+        "left": ref_grow(X[go_left], y[go_left], task, n_classes, model, depth + 1),
+        "right": ref_grow(X[~go_left], y[~go_left], task, n_classes, model, depth + 1),
     }
 
 
@@ -140,30 +140,29 @@ def random_case(seed, task):
     else:
         n_classes = 0
         y = rng.integers(0, 9, size=n).astype(np.float64)  # keeps sums exact
-    config = EnsembleConfig(
+    model = ModelConfig(
         n_trees=2,
         max_depth=[None, None, 2, 4][int(rng.integers(0, 4))],
         min_leaf=int(rng.integers(1, 6)),
-        seed=int(rng.integers(0, 1000)),
     )
-    return X, y, n_classes, config
+    return X, y, n_classes, model, int(rng.integers(0, 1000))
 
 
 class TestTreeOracle:
     @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
     @pytest.mark.parametrize("case", range(10))
     def test_fitted_trees_match_reference_node_for_node(self, task, case):
-        X, y, n_classes, config = random_case(1000 * case + 7, task)
+        X, y, n_classes, model, seed = random_case(1000 * case + 7, task)
         if task == CLASSIFICATION:
             ds = make_classification(X, y, class_names=[f"c{i}" for i in range(n_classes)])
         else:
             ds = make_regression(X, y)
-        ensemble = fit_ensemble(ds, config)
+        ensemble = fit_ensemble(ds, model, seed)
         queries = np.random.default_rng(case).uniform(-1.0, 8.0, size=(25, X.shape[1]))
         per_member = predict(ensemble, queries).per_member
         for t, tree in enumerate(ensemble.trees):
-            boot = np.random.default_rng(config.seed + t).integers(0, len(y), size=len(y))
-            ref = ref_grow(X[boot], y[boot], task, n_classes, config)
+            boot = np.random.default_rng(seed + t).integers(0, len(y), size=len(y))
+            ref = ref_grow(X[boot], y[boot], task, n_classes, model)
             assert_tree_matches(tree, ref)
             want = np.stack([ref_apply_row(ref, q) for q in queries])
             assert np.array_equal(per_member[t], want if task == CLASSIFICATION else want[:, 0])
@@ -172,12 +171,12 @@ class TestTreeOracle:
     def test_real_valued_regression_matches_reference(self, case):
         # Non-integer labels make every sum order-sensitive, so this also
         # pins the row order inside each node.
-        X, _, _, config = random_case(1000 * case + 7, REGRESSION)
+        X, _, _, model, seed = random_case(1000 * case + 7, REGRESSION)
         y = np.random.default_rng(case).normal(size=len(X)) * 10.0 + 0.3
-        ensemble = fit_ensemble(make_regression(X, y), config)
+        ensemble = fit_ensemble(make_regression(X, y), model, seed)
         for t, tree in enumerate(ensemble.trees):
-            boot = np.random.default_rng(config.seed + t).integers(0, len(y), size=len(y))
-            assert_tree_matches(tree, ref_grow(X[boot], y[boot], REGRESSION, 0, config))
+            boot = np.random.default_rng(seed + t).integers(0, len(y), size=len(y))
+            assert_tree_matches(tree, ref_grow(X[boot], y[boot], REGRESSION, 0, model))
 
     @pytest.mark.parametrize("min_leaf", [1, 3])
     @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
@@ -193,12 +192,12 @@ class TestTreeOracle:
         else:
             y, n_classes = np.random.default_rng(2).normal(size=len(X)) * 10.0 + 0.3, 0
             ds = make_regression(X, y)
-        config = EnsembleConfig(n_trees=3, min_leaf=min_leaf, seed=5)
-        ensemble = fit_ensemble(ds, config)
+        model, seed = ModelConfig(n_trees=3, min_leaf=min_leaf), 5
+        ensemble = fit_ensemble(ds, model, seed)
         for t, tree in enumerate(ensemble.trees):
-            boot = np.random.default_rng(config.seed + t).integers(0, len(y), size=len(y))
+            boot = np.random.default_rng(seed + t).integers(0, len(y), size=len(y))
             assert len(np.unique(boot)) < len(y)
-            assert_tree_matches(tree, ref_grow(X[boot], y[boot], task, n_classes, config))
+            assert_tree_matches(tree, ref_grow(X[boot], y[boot], task, n_classes, model))
 
     @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
     def test_shared_batches_match_trees_grown_alone(self, task, monkeypatch):
@@ -212,10 +211,10 @@ class TestTreeOracle:
             ds = make_classification(X, rng.integers(0, 3, size=150))
         else:
             ds = make_regression(X, rng.normal(size=150) * 1e3 + 0.1)
-        together = fit_ensemble(ds, EnsembleConfig(n_trees=6, min_leaf=2, seed=4))
+        together = fit_ensemble(ds, ModelConfig(n_trees=6, min_leaf=2), seed=4)
         monkeypatch.setattr(models, "_BATCH_CELLS", 1)  # one node per search
         for t, tree in enumerate(together.trees):
-            alone = fit_ensemble(ds, EnsembleConfig(n_trees=1, min_leaf=2, seed=4 + t)).trees[0]
+            alone = fit_ensemble(ds, ModelConfig(n_trees=1, min_leaf=2), seed=4 + t).trees[0]
             for name in ("feature", "threshold", "left", "right", "value"):
                 assert np.array_equal(getattr(tree, name), getattr(alone, name)), name
 
@@ -223,7 +222,7 @@ class TestTreeOracle:
         X = np.full((12, 3), 1.5)
         y = np.array([0, 1] * 6)
         ds = make_classification(X, y)
-        ensemble = fit_ensemble(ds, EnsembleConfig(n_trees=1, seed=3))
+        ensemble = fit_ensemble(ds, ModelConfig(n_trees=1), seed=3)
         tree = ensemble.trees[0]
         assert len(tree.feature) == 1 and tree.feature[0] == _LEAF
         boot = np.random.default_rng(3).integers(0, 12, size=12)
@@ -235,13 +234,13 @@ def census_like_case():
     # One-hot census columns: most positions lie inside runs of equal
     # values, so only a few boundaries are scored.
     ds = one_hot(census_income(240, 5))
-    return ds.features, ds.labels, ds.class_count, EnsembleConfig(n_trees=3, min_leaf=2, seed=8)
+    return ds.features, ds.labels, ds.class_count, ModelConfig(n_trees=3, min_leaf=2), 8
 
 
 def real_regression_case():
-    X, _, _, config = random_case(3007, REGRESSION)
+    X, _, _, model, seed = random_case(3007, REGRESSION)
     y = np.random.default_rng(3).normal(size=len(X)) * 10.0 + 0.3
-    return X, y, 0, config
+    return X, y, 0, model, seed
 
 
 class TestDescent:
@@ -249,14 +248,14 @@ class TestDescent:
         scope="class", params=[census_like_case, real_regression_case], ids=["census_like", "real_regression"]
     )
     def fitted(self, request):
-        X, y, n_classes, config = request.param()
+        X, y, n_classes, model, seed = request.param()
         task = REGRESSION if n_classes == 0 else CLASSIFICATION
         ds = make_regression(X, y) if task == REGRESSION else make_classification(X, y)
-        ensemble = fit_ensemble(ds, config)
+        ensemble = fit_ensemble(ds, model, seed)
         refs = []
-        for t in range(config.n_trees):
-            boot = np.random.default_rng(config.seed + t).integers(0, len(y), size=len(y))
-            refs.append(ref_grow(X[boot], y[boot], task, n_classes, config))
+        for t in range(model.n_trees):
+            boot = np.random.default_rng(seed + t).integers(0, len(y), size=len(y))
+            refs.append(ref_grow(X[boot], y[boot], task, n_classes, model))
         # Training rows, rows between them, and rows sitting on thresholds.
         rng = np.random.default_rng(1)
         on = X[:20].copy()
@@ -286,14 +285,14 @@ class TestEnsembleBehavior:
         ds = make_classification(
             rng.normal(size=(30, 2)), np.zeros(30, dtype=np.int64), class_names=["only"]
         )
-        ensemble = fit_ensemble(ds, EnsembleConfig(n_trees=1, max_depth=0))
+        ensemble = fit_ensemble(ds, ModelConfig(n_trees=1, max_depth=0))
         pred = predict(ensemble, rng.normal(size=(5, 2)))
         assert np.array_equal(pred.aggregate, np.ones((5, 1)))
 
     def test_depth_zero_leaf_holds_its_bootstrap_distribution(self, rng):
         y = rng.integers(0, 3, size=40)
         ds = make_classification(rng.normal(size=(40, 2)), y)
-        ensemble = fit_ensemble(ds, EnsembleConfig(n_trees=1, max_depth=0, seed=9))
+        ensemble = fit_ensemble(ds, ModelConfig(n_trees=1, max_depth=0), seed=9)
         boot = np.random.default_rng(9).integers(0, 40, size=40)
         want = np.bincount(y[boot], minlength=3) / 40
         pred = predict(ensemble, np.zeros(2))
@@ -303,23 +302,23 @@ class TestEnsembleBehavior:
         X = np.concatenate([rng.normal(size=(40, 2)), rng.normal(size=(40, 2)) + 8.0])
         y = np.repeat([0, 1], 40)
         ds = make_classification(X, y)
-        ensemble = fit_ensemble(ds, EnsembleConfig(n_trees=10, seed=1))
+        ensemble = fit_ensemble(ds, ModelConfig(n_trees=10), seed=1)
         pred = predict(ensemble, X)
         assert (pred.aggregate.argmax(axis=1) == y).all()
 
     def test_same_seed_is_bit_identical(self, rng):
         X, y = rng.normal(size=(50, 3)), rng.integers(0, 2, size=50)
         ds = make_classification(X, y)
-        config = EnsembleConfig(n_trees=5, seed=21)
-        a = predict(fit_ensemble(ds, config), X)
-        b = predict(fit_ensemble(ds, config), X)
+        model = ModelConfig(n_trees=5)
+        a = predict(fit_ensemble(ds, model, seed=21), X)
+        b = predict(fit_ensemble(ds, model, seed=21), X)
         assert np.array_equal(a.per_member, b.per_member)
 
     def test_tree_streams_depend_only_on_seed_plus_index(self, rng):
         X, y = rng.normal(size=(40, 2)), rng.integers(0, 2, size=40)
         ds = make_classification(X, y)
-        a = fit_ensemble(ds, EnsembleConfig(n_trees=3, seed=11))
-        b = fit_ensemble(ds, EnsembleConfig(n_trees=3, seed=12))
+        a = fit_ensemble(ds, ModelConfig(n_trees=3), seed=11)
+        b = fit_ensemble(ds, ModelConfig(n_trees=3), seed=12)
         for i in range(2):
             lhs, rhs = a.trees[i + 1], b.trees[i]
             assert np.array_equal(lhs.feature, rhs.feature)
@@ -328,17 +327,17 @@ class TestEnsembleBehavior:
 
     def test_aggregate_is_member_mean(self, rng):
         ds = make_classification(rng.normal(size=(30, 2)), rng.integers(0, 3, size=30))
-        pred = predict(fit_ensemble(ds, EnsembleConfig(n_trees=7)), rng.normal(size=(9, 2)))
+        pred = predict(fit_ensemble(ds, ModelConfig(n_trees=7)), rng.normal(size=(9, 2)))
         assert pred.aggregate == pytest.approx(pred.per_member.mean(axis=0), rel=1e-12)
 
     def test_prediction_shapes(self, rng):
         Xc = rng.normal(size=(25, 3))
         dsc = make_classification(Xc, rng.integers(0, 4, size=25))
-        ens = fit_ensemble(dsc, EnsembleConfig(n_trees=3))
+        ens = fit_ensemble(dsc, ModelConfig(n_trees=3))
         assert predict(ens, Xc[0]).per_member.shape == (3, 4)
         assert predict(ens, Xc[:6]).per_member.shape == (3, 6, 4)
         dsr = make_regression(Xc, rng.normal(size=25))
-        ens = fit_ensemble(dsr, EnsembleConfig(n_trees=3))
+        ens = fit_ensemble(dsr, ModelConfig(n_trees=3))
         assert predict(ens, Xc[0]).per_member.shape == (3,)
         assert predict(ens, Xc[:6]).per_member.shape == (3, 6)
 
@@ -349,15 +348,15 @@ class TestEnsembleBehavior:
             make_classification(
                 np.empty((0, 2)), np.empty(0, dtype=np.int64), class_names=["a", "b"]
             )
-        ens = fit_ensemble(ds, EnsembleConfig(n_trees=2))
+        ens = fit_ensemble(ds, ModelConfig(n_trees=2))
         with pytest.raises(ValueError):
             predict(ens, rng.normal(size=(4, 3)))
         with pytest.raises(ValueError):
-            EnsembleConfig(n_trees=0)
+            ModelConfig(n_trees=0)
         with pytest.raises(ValueError):
-            EnsembleConfig(min_leaf=0)
+            ModelConfig(min_leaf=0)
         with pytest.raises(ValueError):
-            EnsembleConfig(max_depth=-1)
+            ModelConfig(max_depth=-1)
 
 
 def binary_pred(probs):

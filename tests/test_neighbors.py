@@ -66,36 +66,23 @@ class TestNearestNeighbors:
         assert idx[0].tolist() == [0, 1, 2, 3]
         assert dist[0] == pytest.approx(np.ones(4))
 
-    def test_exclude_self_skips_the_diagonal(self, rng):
-        X = rng.normal(size=(12, 2))
-        idx, _ = nearest_neighbors(X, X, 3, exclude_self=True)
-        for i in range(12):
-            assert i not in idx[i]
-        with pytest.raises(ValueError):
-            nearest_neighbors(X[:5], X, 3, exclude_self=True)
-
     def test_budget_checks(self, rng):
         # k larger than the available rows is clamped to them.
         X = rng.normal(size=(5, 2))
         idx, dist = nearest_neighbors(X, X, 6)
         assert idx.shape == dist.shape == (5, 5)
-        idx, dist = nearest_neighbors(X, X, 5, exclude_self=True)
-        assert idx.shape == dist.shape == (5, 4)
-        assert idx.tolist() == nearest_neighbors(X, X, 4, exclude_self=True)[0].tolist()
         with pytest.raises(ValueError):
             nearest_neighbors(X, X, 0)
         with pytest.raises(ValueError):
-            nearest_neighbors(X[:1], X[:1], 1, exclude_self=True)
+            nearest_neighbors(X[:1], X[:0], 1)
         idx, _ = nearest_neighbors(X, X, 5)
         assert idx.shape == (5, 5)
 
 
-def brute_force(Q, R, k, exclude_self=False):
+def brute_force(Q, R, k):
     """Rank every reference row by direct-difference distance, then index."""
     diff = (R[None, :, :] - Q[:, None, :]).reshape(-1, R.shape[1])
     sq = np.einsum("ij,ij->i", diff, diff).reshape(Q.shape[0], R.shape[0])
-    if exclude_self:
-        np.fill_diagonal(sq, np.inf)
     order = np.argsort(sq, axis=1, kind="stable")[:, :k]
     return order, np.sqrt(np.take_along_axis(sq, order, axis=1))
 
@@ -107,11 +94,7 @@ def search_problems(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["gauss", "rounded", "onehot"]))
     d = draw(st.integers(1, 6))
-    exclude_self = draw(st.booleans())
-    if exclude_self:
-        n = draw(st.sampled_from([2, 7, 40, 300]))
-    else:
-        n = draw(st.integers(1, 120))
+    n = draw(st.integers(1, 120))
     if kind == "onehot":
         R = np.eye(d)[rng.integers(0, d, size=n)]
     else:
@@ -122,25 +105,21 @@ def search_problems(draw):
     if n_dup:
         R[rng.integers(0, n, size=n_dup)] = R[rng.integers(0, n, size=n_dup)]
     R = R + draw(st.sampled_from([0.0, 1.0, -1e3, 1e5, 1e6]))
-    if exclude_self:
-        Q = R
-    else:
-        m = draw(st.sampled_from([1, 3, 255, 256, 257, 600]))
-        n_copy = draw(st.integers(0, m))
-        fresh = R.mean(axis=0) + rng.normal(size=(m - n_copy, d)) * (R.std() + 1.0)
-        Q = np.vstack([R[rng.integers(0, n, size=n_copy)], fresh])
-        Q = Q[rng.permutation(m)]
-    budget = n - 1 if exclude_self else n
-    k = draw(st.integers(1, min(budget, 25)))
-    return Q, R, k, exclude_self
+    m = draw(st.sampled_from([1, 3, 255, 256, 257, 600]))
+    n_copy = draw(st.integers(0, m))
+    fresh = R.mean(axis=0) + rng.normal(size=(m - n_copy, d)) * (R.std() + 1.0)
+    Q = np.vstack([R[rng.integers(0, n, size=n_copy)], fresh])
+    Q = Q[rng.permutation(m)]
+    k = draw(st.integers(1, min(n, 25)))
+    return Q, R, k
 
 
 class TestAgainstBruteForce:
     @given(search_problems())
     def test_matches_direct_difference_search(self, problem):
-        Q, R, k, exclude_self = problem
-        idx, dist = nearest_neighbors(Q, R, k, exclude_self=exclude_self)
-        want_idx, want_dist = brute_force(Q, R, k, exclude_self)
+        Q, R, k = problem
+        idx, dist = nearest_neighbors(Q, R, k)
+        want_idx, want_dist = brute_force(Q, R, k)
         assert idx.tolist() == want_idx.tolist()
         np.testing.assert_array_max_ulp(dist, want_dist, maxulp=4)
         # A textbook sum over the same pairs agrees to a few ulp as well.
@@ -366,14 +345,14 @@ class TestPrecomputedNorms:
 
     @given(search_problems())
     def test_nearest_neighbors_bits(self, problem):
-        Q, R, k, exclude_self = problem
+        Q, R, k = problem
         q_sq, ref_sq = self.pool_norms(Q, R)
-        want = nearest_neighbors(Q, R, k, exclude_self=exclude_self)
-        got = nearest_neighbors(Q, R, k, exclude_self=exclude_self, q_sq=q_sq, ref_sq=ref_sq)
+        want = nearest_neighbors(Q, R, k)
+        got = nearest_neighbors(Q, R, k, q_sq=q_sq, ref_sq=ref_sq)
         assert got[0].tolist() == want[0].tolist()
         assert got[1].tobytes() == want[1].tobytes()
 
-    def test_contested_kth_neighbour_and_exclude_self(self, rng):
+    def test_contested_kth_neighbour(self, rng):
         # Signed permutations of one vector: equidistant from the origin up to
         # a few ulp, so the k-th neighbour of the origin is contested.
         R = np.array([rng.permutation([0.3, 1.7, 2.9]) for _ in range(12)])
@@ -383,10 +362,6 @@ class TestPrecomputedNorms:
         for k in (1, 3, 5, 11):
             want = nearest_neighbors(Q, R, k)
             got = nearest_neighbors(Q, R, k, q_sq=q_sq, ref_sq=ref_sq)
-            assert got[0].tolist() == want[0].tolist()
-            assert got[1].tobytes() == want[1].tobytes()
-            want = nearest_neighbors(R, R, k, exclude_self=True)
-            got = nearest_neighbors(R, R, k, exclude_self=True, q_sq=ref_sq, ref_sq=ref_sq)
             assert got[0].tolist() == want[0].tolist()
             assert got[1].tobytes() == want[1].tobytes()
 
