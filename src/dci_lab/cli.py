@@ -241,8 +241,8 @@ def cmd_analyze(cfg: Cfg, out_dir: Path, seed: int) -> None:
         raise ConfigError("analyze.train_sizes must list sizes of at least 1")
     if n_splits < 1:
         raise ConfigError("analyze.n_splits must be at least 1")
-    if test_size < 0:
-        raise ConfigError("analyze.test_size must be non-negative")
+    if test_size < 0 or 0 < test_size < 10:
+        raise ConfigError("analyze.test_size must be 0 (every row outside the split) or at least 10")
     base = build_dci_params(cfg)
     try:
         for kind in kinds:

@@ -137,16 +137,51 @@ class EnsemblePrediction:
         return self.per_member.shape[0]
 
 
-# Split searches run on batches of nodes of similar size, padded to the
-# widest; a batch holds at most this many (node, feature, row) cells unless
-# one node alone needs more.
+# Sort-path split searches run on batches of nodes of similar size, padded
+# to the widest; a batch holds at most this many (node, sort-path column,
+# row) cells unless one node alone needs more. Two-valued columns take the
+# count path and add no cells.
 _BATCH_CELLS = 1 << 14
+
+
+def _gini_scores(class_counts, n_left: np.ndarray, n: np.ndarray, n_classes: int) -> np.ndarray:
+    """Summed child Gini, up to terms constant per node, of splits that put
+    n_left of a node's n rows (both float64) on the left.
+
+    Minimizing summed child Gini equals maximizing the sum of squared class
+    counts over child size; the constant parent terms drop out.
+    ``class_counts(c)`` returns class c's (left, node) counts in float64 for
+    every class but the last, which gets what is left. Counts are exact in
+    float64, so equal counts score to equal bits, however they were counted.
+    """
+    inv_nl, inv_nr = 1.0 / n_left, 1.0 / (n - n_left)
+    seen_at, seen_end = n_left, n
+    score = np.zeros(n_left.size)
+    for c in range(n_classes):
+        if c == n_classes - 1:
+            cum_at, cum_end = seen_at, seen_end
+        else:
+            cum_at, cum_end = class_counts(c)
+            seen_at, seen_end = seen_at - cum_at, seen_end - cum_end
+        score -= cum_at**2 * inv_nl + (cum_end - cum_at) ** 2 * inv_nr
+    return score
+
+
+def _first_minima(low: np.ndarray, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(feature, position, score) of each node's first minimum over a (d, K)
+    table of per-(feature, node) best scores found at positions ``pos``;
+    position -1 where every score is inf."""
+    feature = low.argmin(axis=0)
+    node = np.arange(low.shape[1])
+    low, pos = low[feature, node], pos[feature, node]
+    pos[~np.isfinite(low)] = -1
+    return feature, pos, low
 
 
 def _best_splits(
     ranks: np.ndarray, y: np.ndarray, rows: np.ndarray, n: np.ndarray, task: str, n_classes: int, min_leaf: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(feature, position, sorted rows) of each node's best split.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(feature, position, score, sorted rows) of each node's best split.
 
     ``rows`` is (K, m): node k's training rows in node order, padded past
     n[k]; ``ranks`` is (d, n_rows), equal values sharing a rank. Per feature
@@ -156,8 +191,8 @@ def _best_splits(
     are never scored. Each scored cell sees the same operations in the same
     order as a search on its node alone, so batching changes no bit. Ties
     resolve to the lowest (feature index, threshold), as a front-to-back
-    argmin over each node's feature-major scores would. Position -1 marks
-    no valid split.
+    argmin over each node's feature-major scores would. Position -1, with
+    score inf, marks no valid split.
     """
     K, m = rows.shape
     d, n_rows = ranks.shape
@@ -184,23 +219,16 @@ def _best_splits(
     line, j = np.divmod(cell, m - 1)
     n_line = np.tile(n, d)[line]
     at, end = cell + line, m * line + n_line - 1
-    inv = 1.0 / np.arange(1.0, m + 1)  # inv[c - 1] = 1 / c
-    inv_nl, inv_nr = inv[j], inv[end - at - 1]
     if task == CLASSIFICATION:
-        # Minimizing summed child Gini equals maximizing sum of squared
-        # class counts over child size; the constant parent terms drop out.
-        # Counts are exact in float64; the last class gets what is left.
-        seen_at, seen_end = j + 1.0, n_line + 0.0
-        score = np.zeros(cell.size)
-        for c in range(n_classes):
-            if c == n_classes - 1:
-                cum_at, cum_end = seen_at, seen_end
-            else:
-                cum = np.cumsum(ys == c, axis=-1, dtype=np.float64).ravel()
-                cum_at, cum_end = cum[at], cum[end]
-                seen_at, seen_end = seen_at - cum_at, seen_end - cum_end
-            score -= cum_at**2 * inv_nl + (cum_end - cum_at) ** 2 * inv_nr
+
+        def class_counts(c):
+            cum = np.cumsum(ys == c, axis=-1, dtype=np.float64).ravel()
+            return cum[at], cum[end]
+
+        score = _gini_scores(class_counts, j + 1.0, n_line + 0.0, n_classes)
     else:
+        inv = 1.0 / np.arange(1.0, m + 1)  # inv[c - 1] = 1 / c
+        inv_nl, inv_nr = inv[j], inv[end - at - 1]
         cs = np.cumsum(ys, axis=-1).ravel()
         css = np.cumsum(ys * ys, axis=-1).ravel()
         # Cancellation can push a sum-of-squared-errors term slightly
@@ -214,11 +242,36 @@ def _best_splits(
     # node's minimum: the first minimum in feature-major order.
     pos = grid.argmin(axis=2)
     low = grid.reshape(d * K, m - 1)[np.arange(d * K), pos.ravel()].reshape(d, K)
-    feature = low.argmin(axis=0)
-    node = np.arange(K)
-    pos = pos[feature, node]
-    pos[~np.isfinite(low[feature, node])] = -1
-    return feature, pos, sorted_rows
+    return (*_first_minima(low, pos), sorted_rows)
+
+
+def _count_splits(
+    low: np.ndarray, y_rows: np.ndarray, rows: np.ndarray, starts: np.ndarray, n: np.ndarray,
+    counts: np.ndarray, n_classes: int, min_leaf: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(feature, position, score) of each node's best split on two-valued
+    columns, counted instead of sorted.
+
+    ``low`` is (d, n_rows), true where a row holds its column's lower value.
+    ``rows`` holds K nodes' rows back to back from ``starts``, n[k] >= 1
+    each (``reduceat`` needs rising starts), with labels ``y_rows``;
+    ``counts`` holds the nodes' (K, n_classes) class counts. A two-valued
+    column has one boundary, after a node's lower-value rows; it is scored
+    from the same counts by the same expression as in :func:`_best_splits`,
+    so score, position and ties equal a sort's.
+    """
+    block = low[:, rows]  # (d, N)
+    n_left = np.add.reduceat(block, starts, axis=1, dtype=np.int64)  # (d, K)
+    cell = np.flatnonzero((n_left >= min_leaf) & (n - n_left >= min_leaf))
+    node = cell % n.size
+
+    def class_counts(c):
+        left = np.add.reduceat(block & (y_rows == c), starts, axis=1, dtype=np.int64)
+        return left.ravel()[cell] + 0.0, counts[node, c] + 0.0
+
+    grid = np.full(n_left.shape, np.inf)
+    grid.ravel()[cell] = _gini_scores(class_counts, n_left.ravel()[cell] + 0.0, n[node] + 0.0, n_classes)
+    return _first_minima(grid, n_left - 1)
 
 
 def _grow_trees(
@@ -226,14 +279,20 @@ def _grow_trees(
 ) -> tuple[np.ndarray, ...]:
     """One tree per bootstrap row list, grown one depth at a time.
 
-    The nodes of a depth, across all trees, share batched split searches,
-    and each node's split is what a search on that node alone would give. A
+    The nodes of a depth, across all trees, share their split searches, and
+    each node's split is what a search on that node alone would give. In
+    classification, columns with at most two values over the training rows
+    (one-hot indicators, constants) are scored from per-node counts, for all
+    nodes of a depth at once; every other column is sorted, in batches. A
     child keeps its rows in its parent's order along the split feature.
     Returns the node table (feature, threshold, left, right, value) of
     :class:`TreeEnsemble`: node t is the root of tree t, and each depth's
     children are numbered after every node above them.
     """
     ranks = np.stack([np.unique(col, return_inverse=True)[1] for col in X.T])
+    two = np.flatnonzero(ranks.max(axis=1) <= 1) if task == CLASSIFICATION else np.arange(0)
+    sort_cols = np.setdiff1d(np.arange(X.shape[1]), two)
+    low, sort_ranks = ranks[two] == 0, ranks[sort_cols]
     ids = np.arange(len(boots))  # the frontier: node ids, rows and row counts
     rows = np.concatenate(boots)
     sizes = np.array([b.size for b in boots])
@@ -246,21 +305,45 @@ def _grow_trees(
         grow = (hi != lo if task == CLASSIFICATION else hi - lo != 0.0) & (sizes >= max(2, 2 * model.min_leaf))
         if model.max_depth is not None and depth >= model.max_depth:
             grow[:] = False
+        if task == CLASSIFICATION:
+            cells = np.repeat(np.arange(ids.size) * n_classes, sizes) + y_rows
+            counts = np.bincount(cells, minlength=ids.size * n_classes).reshape(-1, n_classes)
+        # The growing nodes, largest first, with their rows back to back in
+        # rows_g from off; each split node's rows go to the same place in
+        # rows_lr, in the stable order of the column it splits on.
         todo = np.flatnonzero(grow)
         todo = todo[np.argsort(-sizes[todo], kind="stable")]
-        found = []
-        while todo.size:
+        n = sizes[todo]
+        off = np.cumsum(n) - n
+        rows_g = rows[np.repeat(starts[todo] - off, n) + np.arange(n.sum())]
+        rows_lr = np.empty_like(rows_g)
+        f, pos, score = np.zeros(todo.size, dtype=np.int64), np.full(todo.size, -1), np.full(todo.size, np.inf)
+        if two.size and todo.size:
+            f, pos, score = _count_splits(low, y[rows_g], rows_g, off, n, counts[todo], n_classes, model.min_leaf)
+            f = two[f]
+        by_count = pos >= 0
+        b0 = 0
+        while sort_cols.size and b0 < todo.size:
             # Largest nodes first, batched while they fill half the width.
-            m = int(sizes[todo[0]])
-            batch = todo[: max(1, _BATCH_CELLS // (m * X.shape[1]))]
-            batch, todo = batch[2 * sizes[batch] >= m], todo[np.count_nonzero(2 * sizes[batch] >= m) :]
-            n = sizes[batch]
-            at = np.minimum(np.arange(m), n[:, None] - 1) + starts[batch][:, None]
-            f, pos, sorted_rows = _best_splits(ranks, y, rows[at], n, task, n_classes, model.min_leaf)
-            ok = np.flatnonzero(pos >= 0)
-            chosen = sorted_rows[f[ok], ok]
-            found.append((batch[ok], f[ok], pos[ok], chosen[np.arange(m) < n[ok, None]]))
-        at, f, pos, rows_lr = (np.concatenate(p) for p in zip(*found)) if found else [ids[:0]] * 4
+            m = int(n[b0])
+            b1 = min(todo.size, b0 + max(1, _BATCH_CELLS // (m * sort_cols.size)))
+            b1 = b0 + np.count_nonzero(2 * n[b0:b1] >= m)
+            at = np.minimum(np.arange(m), n[b0:b1, None] - 1) + off[b0:b1, None]
+            fs, ps, ss, sorted_rows = _best_splits(sort_ranks, y, rows_g[at], n[b0:b1], task, n_classes, model.min_leaf)
+            # The first minimum in feature-major order over both paths.
+            win = np.flatnonzero((ss < score[b0:b1]) | ((ss == score[b0:b1]) & (sort_cols[fs] < f[b0:b1])))
+            k = b0 + win
+            f[k], pos[k], score[k], by_count[k] = sort_cols[fs[win]], ps[win], ss[win], False
+            real = np.arange(m) < n[k, None]
+            rows_lr[at[win][real]] = sorted_rows[fs[win], win][real]
+            b0 = b1
+        # A two-valued column's stable order puts a node's lower-value rows first.
+        mine = np.repeat(by_count, n)
+        nc, rows_c = n[by_count], rows_g[mine]
+        side = ranks[np.repeat(f[by_count], nc), rows_c]
+        rows_lr[mine] = rows_c[np.argsort(2 * np.repeat(np.arange(nc.size), nc) + side, kind="stable")]
+        ok = pos >= 0
+        at, f, pos, rows_lr = todo[ok], f[ok], pos[ok], rows_lr[np.repeat(ok, n)]
         # Children's rows lie split node after split node in rows_lr.
         n = sizes[at]
         first = np.cumsum(n) - n + pos
@@ -271,8 +354,6 @@ def _grow_trees(
         leaf = np.ones(ids.size, dtype=bool)
         leaf[at] = False
         if task == CLASSIFICATION:
-            cells = np.repeat(np.arange(ids.size) * n_classes, sizes) + y_rows
-            counts = np.bincount(cells, minlength=ids.size * n_classes).reshape(-1, n_classes)
             leaves.append((ids[leaf], counts[leaf] / sizes[leaf, None]))
         else:
             # Row means of a C-contiguous block take the same pairwise sums

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from dci_lab import cli
 from dci_lab.cli import dataset_fingerprint, main
 from dci_lab.dataset import apply_standardization, load_idx, one_hot, standardization_stats, write_idx
 from dci_lab.dci import DciParams, dci_scores
@@ -398,6 +399,20 @@ class TestConfigRanges:
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("test_size", ["1", "5", "9"])
+    def test_test_size_below_ten_is_a_config_error(self, tmp_path, capsys, monkeypatch, test_size):
+        # Fewer than ten test rows cannot fill the deciles; the size is
+        # rejected before any committee is fitted.
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the config was checked")
+
+        monkeypatch.setattr(cli, "fit_ensemble", no_fit)
+        cfg = write_cfg(tmp_path / "c.cfg", **dict(ANALYZE_PAIRS, **{"analyze.test_size": test_size}))
+        out = tmp_path / "out"
+        assert main(["analyze", "--config", cfg, "--out", str(out)]) == 2
+        assert "analyze.test_size" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
     def test_base_pairs_are_valid(self, tmp_path):

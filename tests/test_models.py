@@ -199,14 +199,65 @@ class TestTreeOracle:
             assert len(np.unique(boot)) < len(y)
             assert_tree_matches(tree, ref_grow(X[boot], y[boot], task, n_classes, model))
 
+    @pytest.mark.parametrize("max_depth", [None, 3])
+    @pytest.mark.parametrize("min_leaf", [1, 4])
+    @pytest.mark.parametrize("n_classes", [2, 3, 5])
+    @pytest.mark.parametrize("columns", ["all_two_valued", "none_two_valued", "mixed"])
+    def test_two_valued_columns_match_reference(self, columns, n_classes, min_leaf, max_depth):
+        # Two-valued columns are scored from counts, the rest by sorting;
+        # values other than 0/1 make every threshold a real midpoint.
+        rng = np.random.default_rng([n_classes, min_leaf, max_depth or 0])
+        n = 90
+        pair = np.where(rng.integers(0, 2, size=(n, 5)), 1.7, -0.4)
+        pair[:, 3] = np.where(rng.uniform(size=n) < 0.1, 3.5, -2.25)  # a rare value
+        wide = rng.integers(0, 6, size=(n, 3)) * 0.5 - 1.0
+        X = {
+            "all_two_valued": pair,
+            "none_two_valued": wide,
+            "mixed": np.column_stack([wide[:, 0], pair[:, :2], np.full(n, 0.3), wide[:, 1], pair[:, 3]]),
+        }[columns]
+        y = rng.integers(0, n_classes, size=n)
+        ds = make_classification(X, y, class_names=[f"c{i}" for i in range(n_classes)])
+        model, seed = ModelConfig(n_trees=3, min_leaf=min_leaf, max_depth=max_depth), 40 + n_classes
+        ensemble = fit_ensemble(ds, model, seed)
+        for t, tree in enumerate(ensemble.trees):
+            boot = np.random.default_rng(seed + t).integers(0, n, size=n)
+            assert_tree_matches(tree, ref_grow(X[boot], y[boot], CLASSIFICATION, n_classes, model))
+
+    def test_two_valued_columns_are_never_sorted_in_classification(self, monkeypatch):
+        # Classification sorts only the columns with more than two values;
+        # regression sorts every column.
+        searched = []
+        best_splits = models._best_splits
+
+        def spy(ranks, *args):
+            searched.append(ranks.shape[0])
+            return best_splits(ranks, *args)
+
+        monkeypatch.setattr(models, "_best_splits", spy)
+        rng = np.random.default_rng(5)
+        X = np.where(rng.integers(0, 2, size=(120, 4)), 1.0, 0.0)
+        X[:, 2] = 4.0  # constant
+        y = rng.integers(0, 3, size=120)
+        deep = fit_ensemble(make_classification(X, y), ModelConfig(n_trees=4), seed=1)
+        assert searched == [] and (deep.feature != _LEAF).sum() > 20
+        X = np.column_stack([X, rng.normal(size=120)])
+        fit_ensemble(make_classification(X, y), ModelConfig(n_trees=4), seed=1)
+        assert searched and set(searched) == {1}
+        searched.clear()
+        fit_ensemble(make_regression(X, rng.normal(size=120)), ModelConfig(n_trees=4), seed=1)
+        assert searched and set(searched) == {5}
+
     @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
     def test_shared_batches_match_trees_grown_alone(self, task, monkeypatch):
         # Real-valued labels make the sums order-sensitive, and rounded
         # columns give ties, so any drift between a node searched in a
-        # shared padded batch and searched alone would show.
+        # shared padded batch and searched alone would show. Column 4 has
+        # two values, so classification also scores it from counts.
         rng = np.random.default_rng(11)
-        X = rng.normal(size=(150, 4))
+        X = rng.normal(size=(150, 5))
         X[:, 1] = np.round(X[:, 1])
+        X[:, 4] = np.where(X[:, 4] > 0.3, 2.5, -1.0)
         if task == CLASSIFICATION:
             ds = make_classification(X, rng.integers(0, 3, size=150))
         else:
