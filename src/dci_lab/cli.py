@@ -24,6 +24,7 @@ from .active import (
     aggregate,
     check_uncertainty,
     run_many,
+    seed_split,
     write_curves_csv,
     write_summary_csv,
 )
@@ -203,6 +204,11 @@ def cmd_simulate(cfg: Cfg, out_dir: Path, seed: int, threads: int) -> None:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for s in range(seed, seed + exp.n_seeds):
+        if exp.metric == "auroc" and np.unique(ds.labels[seed_split(exp, s)[0]]).size < 2:
+            raise ConfigError(
+                f"seed {s}: auroc needs both classes in the {exp.test_size} experiment.test_size rows"
+            )
     curves = run_many(exp, base_seed=seed, threads=threads)
     write_curves_csv(out_dir / "curves.csv", curves)
     write_summary_csv(out_dir / "summary.csv", aggregate(curves))
@@ -260,32 +266,31 @@ def cmd_analyze(cfg: Cfg, out_dir: Path, seed: int) -> None:
         raise ConfigError("train sizes plus test size exceed the pool")
     codes, n_classes = ds.class_codes
 
-    for size in train_sizes:
-        reports: dict[str, list] = {label: [] for label, _ in dci_cells}
-        reports.update({kind: [] for kind in kinds})
-        for split in range(n_splits):
-            rng = np.random.default_rng([seed, 3, split])
-            perm = rng.permutation(ds.n_rows)
+    # A split's train sets are prefixes of one permutation and share its
+    # seed, so one call grows the committees of all its sizes.
+    sizes = list(dict.fromkeys(train_sizes))
+    reports = {(size, label): [] for size in sizes for label in [*(lab for lab, _ in dci_cells), *kinds]}
+    for split in range(n_splits):
+        rng = np.random.default_rng([seed, 3, split])
+        perm = rng.permutation(ds.n_rows)
+        fitted = fit_ensemble(ds, model, _analyze_seed(seed, split), rows=[perm[:size] for size in sizes])
+        for size, ens in zip(sizes, fitted.committees(len(sizes))):
             train_idx = perm[:size]
             end = size + test_size if test_size else ds.n_rows
             test_idx = perm[size:end]
-            train_ds = ds.select_rows(train_idx)
-            ens = fit_ensemble(train_ds, model, _analyze_seed(seed, split))
             pred = predict(ens, ds.features[test_idx])
             correct = (pred.aggregate.argmax(axis=1) == ds.labels[test_idx]).astype(np.int64)
             for kind in kinds:
                 u = np.asarray(UNCERTAINTY[kind](pred), dtype=np.float64)
-                reports[kind].append(decile_analysis(u, correct))
+                reports[size, kind].append(decile_analysis(u, correct))
             cells = pool_scores(
-                train_ds.features, codes[train_idx], n_classes, ds.features[test_idx],
+                ds.features[train_idx], codes[train_idx], n_classes, ds.features[test_idx],
                 [params for _, params in dci_cells],
             )
             for (label, _), u in zip(dci_cells, cells):
-                reports[label].append(decile_analysis(u, correct))
-        for label, collected in reports.items():
-            write_decile_csv(
-                out_dir / f"decile_train{size}_{label}.csv", average_reports(collected)
-            )
+                reports[size, label].append(decile_analysis(u, correct))
+    for (size, label), collected in reports.items():
+        write_decile_csv(out_dir / f"decile_train{size}_{label}.csv", average_reports(collected))
 
 
 def _thread_count(flag: int | None) -> int:

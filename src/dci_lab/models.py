@@ -10,7 +10,7 @@ ensemble's per-member predictions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,28 +81,39 @@ class TreeEnsemble:
     n_trees: int
     n_classes: int = 0
 
-    @property
-    def trees(self) -> tuple[_TreeView, ...]:
-        """Per-tree views, cut from the table on each access; each keeps its
-        nodes in table order, so the root comes first."""
+    def _cut(self, size: int) -> list[tuple[np.ndarray, ...]]:
+        """The node tables of each run of ``size`` consecutive trees, each
+        kept in table order and numbered from 0, so its roots come first."""
         owner = np.empty(self.feature.size, dtype=np.int64)
         nodes = np.arange(self.n_trees)
-        owner[nodes] = nodes
+        owner[nodes] = nodes // size
         while nodes.size:
             nodes = nodes[self.feature[nodes] != _LEAF]
             owner[self.left[nodes]] = owner[self.right[nodes]] = owner[nodes]
             nodes = np.concatenate([self.left[nodes], self.right[nodes]])
-        counts = np.bincount(owner, minlength=self.n_trees)
+        counts = np.bincount(owner, minlength=self.n_trees // size)
         order = np.argsort(owner, kind="stable")
         local = np.full(owner.size + 1, _LEAF)  # local[-1] maps _LEAF to itself
         local[order] = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        return tuple(
-            _TreeView(
-                self.feature[nodes], self.threshold[nodes], local[self.left[nodes]], local[self.right[nodes]],
-                self.value[nodes],
-            )
+        return [
+            (self.feature[nodes], self.threshold[nodes], local[self.left[nodes]], local[self.right[nodes]],
+             self.value[nodes])
             for nodes in np.split(order, np.cumsum(counts)[:-1])
-        )
+        ]
+
+    @property
+    def trees(self) -> tuple[_TreeView, ...]:
+        """Per-tree views, cut from the table on each access."""
+        return tuple(_TreeView(*table) for table in self._cut(1))
+
+    def committees(self, count: int) -> list[TreeEnsemble]:
+        """The table cut into ``count`` committees of equally many
+        consecutive trees, as :func:`fit_ensemble` grows them from row lists."""
+        size = self.n_trees // count
+        return [
+            TreeEnsemble(*table, task=self.task, n_features=self.n_features, n_trees=size, n_classes=self.n_classes)
+            for table in self._cut(size)
+        ]
 
 
 @dataclass(frozen=True)
@@ -379,28 +390,39 @@ def _grow_trees(
     return feature, threshold, left, right, value
 
 
-def fit_ensemble(train: Dataset, model: ModelConfig = ModelConfig(), seed: int = 0) -> TreeEnsemble:
+def fit_ensemble(
+    train: Dataset, model: ModelConfig = ModelConfig(), seed: int = 0, rows: Sequence[np.ndarray] | None = None
+) -> TreeEnsemble:
     """Fit the model's bagged trees on a dataset; the task follows the label kind.
 
     Each tree trains on an n-with-replacement bootstrap resample drawn from
     its own stream seeded with (seed + tree index), so a given tree is
-    reproducible regardless of fitting order.
+    reproducible regardless of fitting order. ``rows``, row index arrays
+    into ``train``, grows one committee per array in one call, each equal
+    to a fit on ``train.select_rows(array)``; the result holds their trees
+    in order, and :meth:`TreeEnsemble.committees` cuts it apart.
     """
-    if train.n_rows < 1:
+    subsets = [np.arange(train.n_rows)] if rows is None else [np.asarray(r, dtype=np.intp) for r in rows]
+    if min((s.size for s in subsets), default=0) < 1:
         raise ValueError("training set is empty")
     task = CLASSIFICATION if train.is_classification else REGRESSION
     n_classes = train.class_count if train.is_classification else 0
-    X = train.features
-    y = train.labels.astype(np.float64) if task == REGRESSION else train.labels
+    # The committees grow on the rows any of them uses; ranks over those
+    # rows keep every sort order, and a column two-valued on all of them
+    # still takes the count path.
+    used, inverse = np.unique(np.concatenate(subsets), return_inverse=True)
+    X = train.features[used]
+    y = train.labels[used].astype(np.float64) if task == REGRESSION else train.labels[used]
     boots = [
-        np.random.default_rng(seed + t).integers(0, train.n_rows, size=train.n_rows)
+        local[np.random.default_rng(seed + t).integers(0, local.size, size=local.size)]
+        for local in np.split(inverse, np.cumsum([s.size for s in subsets])[:-1])
         for t in range(model.n_trees)
     ]
     return TreeEnsemble(
         *_grow_trees(X, y, boots, task, n_classes, model),
         task=task,
         n_features=train.n_features,
-        n_trees=model.n_trees,
+        n_trees=len(boots),
         n_classes=n_classes,
     )
 

@@ -493,19 +493,75 @@ class TestSharedStart:
         ]
 
     def test_first_committee_is_fitted_once_per_seed(self, rng, monkeypatch):
-        fits = []
+        # One grower call per seed and boundary: the first boundary grows the
+        # shared committee, every later one the committees of all strategies.
+        trees = []
+        grow = models._grow_trees
 
-        def counting_fit(train, model, seed):
-            fits.append((train.n_rows, seed))
-            return fit_ensemble(train, model, seed)
+        def counting_grow(X, y, boots, *args):
+            trees.append(len(boots))
+            return grow(X, y, boots, *args)
 
-        monkeypatch.setattr(active, "fit_ensemble", counting_fit)
+        monkeypatch.setattr(models, "_grow_trees", counting_grow)
         config = all_strategies_config(two_blob_dataset(rng), ModelConfig(n_trees=3), **SCHEDULE)
         run_many(config, base_seed=0)
         n_seeds, n_updates = SCHEDULE["n_seeds"], SCHEDULE["n_updates"]
-        assert len(fits) == n_seeds * (1 + len(config.strategies) * n_updates)
-        first = [f for f in fits if f[0] == SCHEDULE["initial_train_size"]]
-        assert len(first) == len(set(first)) == n_seeds
+        assert trees == ([3] + [3 * len(config.strategies)] * n_updates) * n_seeds
+
+
+class TestWholePoolScores:
+    """A committee strategy scores the whole unlabelled pool once per update
+    where that costs less than a predict call per pick; the scores, and so
+    the picks, must equal per-pick scoring."""
+
+    @staticmethod
+    def pool(rng, kind, n=300):
+        X = np.round(rng.normal(size=(n, 3)), 1)
+        signal = X[:, 0] + 0.5 * rng.normal(size=n)
+        if kind == "regression_std":
+            return make_regression(X, 2.0 * signal)
+        return make_classification(X, np.digitize(signal, [0.0] if kind == "eq3_binary" else [-0.5, 0.5]))
+
+    @pytest.mark.parametrize("n_trees", [3, 12])
+    @pytest.mark.parametrize("kind", sorted(models.UNCERTAINTY))
+    def test_whole_pool_scores_equal_candidate_scores(self, rng, kind, n_trees):
+        # Batches of one row are left out: select_next takes a lone
+        # candidate whatever its score.
+        ds = self.pool(rng, kind, n=3000)
+        ensemble = fit_ensemble(ds.select_rows(np.arange(200)), ModelConfig(n_trees=n_trees), seed=1)
+        score = models.UNCERTAINTY[kind]
+        whole = score(models.predict(ensemble, ds.features))
+        for m in (2, 3, 5):
+            for _ in range(20):
+                cands = np.sort(rng.choice(ds.n_rows, size=m, replace=False))
+                assert np.array_equal(score(models.predict(ensemble, ds.features[cands])), whole[cands])
+
+    @pytest.mark.parametrize("additions, whole", [(1, False), (40, True)], ids=["per_pick", "whole_pool"])
+    @pytest.mark.parametrize("kind", sorted(models.UNCERTAINTY))
+    def test_curves_equal_per_pick_scoring(self, rng, monkeypatch, kind, additions, whole):
+        config = ExperimentConfig(
+            dataset=self.pool(rng, kind),
+            strategies=(Strategy(tag="model-uncertainty", kind=kind), Strategy(tag="random")),
+            model=ModelConfig(n_trees=10),
+            metric="rmse" if kind == "regression_std" else "accuracy",
+            initial_train_size=20,
+            additions_per_update=additions,
+            n_updates=4,
+            n_seeds=2,
+            test_size=50,
+        )
+        chosen = []
+        rule = active._scores_whole_pool
+
+        def spy(*args):
+            chosen.append(rule(*args))
+            return chosen[-1]
+
+        monkeypatch.setattr(active, "_scores_whole_pool", spy)
+        curves = run_many(config, base_seed=4)
+        assert chosen == [whole] * (config.n_seeds * config.n_updates)
+        monkeypatch.setattr(active, "_scores_whole_pool", lambda *args: False)
+        assert run_many(config, base_seed=4) == curves
 
 
 class TestModelConfig:

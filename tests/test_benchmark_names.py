@@ -37,3 +37,11 @@ def test_tree_counter_reads_a_fitted_ensemble(rng):
     counts = load_tracer()._count_trees((ds,), {}, ensemble)
     assert counts == {"trees": 4, "nodes": ensemble.feature.size}
     assert ensemble.feature.size > 4  # some tree split, so the views were cut
+
+
+def test_tree_counter_reads_every_committee_of_one_call(rng):
+    ds = make_classification(rng.normal(size=(60, 3)), rng.integers(0, 2, size=60))
+    rows = [np.arange(20), np.arange(10, 60), np.array([4])]
+    fitted = fit_ensemble(ds, ModelConfig(n_trees=4), seed=2, rows=rows)
+    counts = load_tracer()._count_trees((ds, ModelConfig(n_trees=4), 2), {"rows": rows}, fitted)
+    assert counts == {"trees": 12, "nodes": sum(c.feature.size for c in fitted.committees(3))}

@@ -11,6 +11,7 @@ from dci_lab import cli
 from dci_lab.cli import dataset_fingerprint, main
 from dci_lab.dataset import apply_standardization, load_idx, one_hot, standardization_stats, write_idx
 from dci_lab.dci import DciParams, dci_scores
+from dci_lab.models import fit_ensemble
 from dci_lab.neighbors import nearest_neighbors
 from dci_lab.synthetic import census_income, three_class_points, wine_quality
 
@@ -230,6 +231,21 @@ class TestSimulate:
         rows = (out / "curves.csv").read_text().splitlines()
         assert len(rows) == 1 + 6 * 1 * 2  # six preset strategies, 2 points each
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_one_class_auroc_test_set_is_a_config_error(self, tmp_path, capsys, threads):
+        # With 3 test rows of a 60-row census pool, seed 3 draws one class
+        # only; auroc is undefined there, and nothing is written.
+        pairs = dict(SIM_PAIRS, **{"data.name": "census", "experiment.metric": "auroc", "experiment.test_size": "3"})
+        pairs["experiment.n_seeds"] = "3"
+        cfg = write_cfg(tmp_path / "c.cfg", **pairs)
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", cfg, "--seed", "1", "--threads", threads, "--out", str(out)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "config error: seed 3: auroc needs both classes in the 3 experiment.test_size rows" in err
+        assert list(out.iterdir()) == []
+        assert main([*argv[:4], "0", *argv[5:]]) == 0  # seeds 0-2 test on both classes
+
     def test_impossible_schedule_is_a_config_error(self, tmp_path, capsys):
         pairs = dict(SIM_PAIRS, **{"experiment.n_updates": "100"})
         cfg = write_cfg(tmp_path / "c.cfg", **pairs)
@@ -298,6 +314,29 @@ class TestAnalyze:
                 lines = path.read_text().splitlines()
                 assert lines[0] == "decile,count,accuracy"
                 assert len(lines) == 11
+
+    def test_deciles_equal_committees_fitted_alone(self, tmp_path, monkeypatch):
+        # One call per split grows the committees of every train size; the
+        # decile files must equal those of one fit per (size, split).
+        pairs = {"analyze.train_sizes": "12,30,20", "analyze.n_splits": "3", "analyze.kinds": "max_prob,mean_std"}
+        cfg = write_cfg(tmp_path / "c.cfg", **dict(ANALYZE_PAIRS, **pairs))
+        assert main(["analyze", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "together")]) == 0
+
+        class Alone:
+            def __init__(self, ds, model, seed, rows):
+                self.fits = [fit_ensemble(ds.select_rows(r), model, seed) for r in rows]
+
+            def committees(self, count):
+                assert count == len(self.fits)
+                return self.fits
+
+        monkeypatch.setattr(cli, "fit_ensemble", Alone)
+        assert main(["analyze", "--config", cfg, "--seed", "3", "--out", str(tmp_path / "alone")]) == 0
+        names = sorted(p.name for p in (tmp_path / "together").iterdir())
+        assert len(names) == 3 * (3 + 2)  # sizes x (dci cells + kinds)
+        assert names == sorted(p.name for p in (tmp_path / "alone").iterdir())
+        for name in names:
+            assert (tmp_path / "together" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
     def test_analyze_rejects_knn_model(self, tmp_path, capsys):
         cfg = write_cfg(

@@ -281,6 +281,61 @@ class TestTreeOracle:
         assert np.array_equal(tree.value[0], want)
 
 
+class TestCommittees:
+    """Committees grown in one fit_ensemble call, from lists of pool rows,
+    equal each committee fitted alone on its rows with the same seed."""
+
+    @staticmethod
+    def pool(task):
+        # Column 0 is real-valued, column 1 rounded (ties), column 2 two-valued,
+        # and column 3 two-valued except on rows 100-119, so row sets without
+        # those rows score it from counts alone but sort it together. Rows
+        # 0-14 share one label.
+        rng = np.random.default_rng(21)
+        n = 120
+        X = np.column_stack(
+            [
+                rng.normal(size=n),
+                np.round(rng.normal(size=n)),
+                np.where(rng.integers(0, 2, size=n), 1.7, -0.4),
+                np.where(np.arange(n) < 100, rng.integers(0, 2, size=n), 2.0),
+            ]
+        )
+        if task == CLASSIFICATION:
+            y = rng.integers(0, 3, size=n)
+            y[:15] = 1
+            return make_classification(X, y, class_names=["a", "b", "c"])
+        y = rng.normal(size=n) * 10.0 + 0.3
+        y[:15] = 2.5
+        return make_regression(X, y)
+
+    @pytest.mark.parametrize("max_depth", [None, 3])
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    def test_committees_together_equal_each_alone(self, task, min_leaf, max_depth):
+        ds = self.pool(task)
+        rng = np.random.default_rng([min_leaf, max_depth or 0])
+        rows = [rng.permutation(100)[:40], np.array([7]), rng.permutation(120)[:90], np.arange(15), np.arange(60)]
+        model = ModelConfig(n_trees=4, min_leaf=min_leaf, max_depth=max_depth)
+        together = fit_ensemble(ds, model, 9, rows=rows)
+        assert together.n_trees == len(together.trees) == 4 * len(rows)
+        committees = together.committees(len(rows))
+        assert sum(c.feature.size for c in committees) == together.feature.size
+        for r, committee in zip(rows, committees):
+            alone = fit_ensemble(ds.select_rows(r), model, 9)
+            assert (committee.n_trees, committee.n_classes, committee.task) == (4, alone.n_classes, alone.task)
+            for name in ("feature", "threshold", "left", "right", "value"):
+                assert np.array_equal(getattr(committee, name), getattr(alone, name)), name
+        whole = fit_ensemble(ds, model, 9, rows=[np.arange(120)])
+        assert np.array_equal(whole.value, fit_ensemble(ds, model, 9).value)
+
+    def test_empty_row_lists_are_rejected(self):
+        ds = self.pool(CLASSIFICATION)
+        for rows in ([], [np.arange(5), np.arange(0)]):
+            with pytest.raises(ValueError, match="training set is empty"):
+                fit_ensemble(ds, ModelConfig(n_trees=2), 0, rows=rows)
+
+
 def census_like_case():
     # One-hot census columns: most positions lie inside runs of equal
     # values, so only a few boundaries are scored.
