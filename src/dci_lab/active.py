@@ -256,30 +256,31 @@ class _BoundaryModel:
         self.labelled = labelled
         self.ensemble = ensemble
 
-    def _predict(self, X: np.ndarray, neighbors: np.ndarray | None) -> EnsemblePrediction:
-        """Predictions for rows X. The kNN model reads them from
-        ``neighbors``, the rows' neighbour lists into the labelled rows."""
-        if self.ensemble is not None:
-            return predict(self.ensemble, X)
+    def _predict(self, rows: np.ndarray, neighbors: np.ndarray | None) -> EnsemblePrediction:
+        """Predictions for the pool rows ``rows``. The kNN model reads them
+        from ``neighbors``, the rows' neighbour lists into the labelled
+        rows, and gathers no features."""
         ds = self.config.dataset
+        if self.ensemble is not None:
+            return predict(self.ensemble, ds.features[rows])
         out = knn_from_labels(ds, ds.labels[self.labelled[neighbors]])
         return EnsemblePrediction(per_member=out[None], aggregate=out, task=self.config.task)
 
     def uncertainty(
-        self, X: np.ndarray, kind: str, neighbors: np.ndarray | None = None
+        self, rows: np.ndarray, kind: str, neighbors: np.ndarray | None = None
     ) -> np.ndarray:
-        return np.asarray(UNCERTAINTY[kind](self._predict(X, neighbors)), dtype=np.float64)
+        return np.asarray(UNCERTAINTY[kind](self._predict(rows, neighbors)), dtype=np.float64)
 
     def evaluate(
-        self, test_X: np.ndarray, test_y: np.ndarray, neighbors: np.ndarray | None = None
+        self, rows: np.ndarray, y: np.ndarray, neighbors: np.ndarray | None = None
     ) -> float:
-        pred = self._predict(test_X, neighbors)
+        pred = self._predict(rows, neighbors)
         metric = self.config.metric
         if metric == "rmse":
-            return rmse(pred.aggregate, test_y)
+            return rmse(pred.aggregate, y)
         if metric == "auroc":
-            return auroc(pred.aggregate[:, 1], test_y)
-        return accuracy(pred.aggregate.argmax(axis=1), test_y)
+            return auroc(pred.aggregate[:, 1], y)
+        return accuracy(pred.aggregate.argmax(axis=1), y)
 
 
 _Lists = tuple[np.ndarray, np.ndarray]
@@ -300,11 +301,11 @@ def _extend_lists(
     lists: _Lists,
 ) -> _Lists:
     """The kNN model's neighbour lists of the pool rows ``rows`` into
-    ``lab_X``, as indices and squared distances: ``lists`` are the lists of
-    the boundary before, extended with the rows labelled since, which leaves
-    them equal to a fresh search. ``rows_sq`` and ``lab_sq`` are the rows'
-    squared norms. The rows are gathered one block at a time, so no copy of
-    all of them is held."""
+    ``lab_X``, as :func:`extend_neighbors` returns them: ``lists`` are the
+    lists of the boundary before, extended with the rows labelled since,
+    which leaves their indices equal to a fresh search's. ``rows_sq`` and
+    ``lab_sq`` are the rows' squared norms. The rows are gathered one block
+    at a time, so no copy of all of them is held."""
     n_seen = lab_X.shape[0] - config.additions_per_update if update else 0
     k = config.model.knn_k
     idx = np.empty((rows.size, min(k, lab_X.shape[0])), dtype=np.int64)
@@ -319,10 +320,9 @@ def _extend_lists(
 
 
 class _TestRows(NamedTuple):
-    """One seed's held-out pool rows, their features, labels and squared norms."""
+    """One seed's held-out pool rows, their labels and squared norms."""
 
     rows: np.ndarray
-    X: np.ndarray
     y: np.ndarray
     sq: np.ndarray
 
@@ -358,7 +358,7 @@ def _boundary(
     if config.model.kind == "knn":
         test_nbrs = _extend_lists(config, update, test.rows, test.sq, lab_X, lab_sq, test_nbrs)
         neighbors = test_nbrs[0]
-    return model, model.evaluate(test.X, test.y, neighbors), test_nbrs
+    return model, model.evaluate(test.rows, test.y, neighbors), test_nbrs
 
 
 class _SeedStart(NamedTuple):
@@ -380,7 +380,7 @@ def _seed_start(config: ExperimentConfig, seed: int) -> _SeedStart:
     ds = config.dataset
     test_idx, labelled, rest = seed_split(config, seed)
     pool_sq = _sq_norms(ds.features)
-    test = _TestRows(test_idx, ds.features[test_idx], ds.labels[test_idx], pool_sq[test_idx])
+    test = _TestRows(test_idx, ds.labels[test_idx], pool_sq[test_idx])
     (ensemble,) = _committees(config, seed, 0, [labelled])
     first = _boundary(
         config, 0, ensemble, ds.features[labelled], pool_sq[labelled], labelled, test,
@@ -428,10 +428,11 @@ def _curve(
     use_pca = strategy.pca_components > 0
     pool_sq = start.pool_sq
     boundary, value, test_nbrs = start.model, start.value, start.test_nbrs
-    # A kNN model scores candidates from their lists into lab_X, carried
-    # like the test rows' lists, and a committee may score the whole pool
-    # once per update; both are aligned with ``unl_rows``, the unlabelled
-    # pool at the last boundary.
+    # A kNN model scores the whole unlabelled pool once per update from its
+    # lists into lab_X, carried like the test rows' lists, and a committee
+    # does where that costs less than scoring each pick's candidates; the
+    # scores are aligned with ``unl_rows``, the unlabelled pool at the last
+    # boundary.
     knn_scores = strategy.tag == MODEL_UNCERTAINTY and config.model.kind == "knn"
     unl_rows = unlabelled
     unl_nbrs = _no_lists(unl_rows.size)
@@ -440,8 +441,7 @@ def _curve(
     def model_score(cands: np.ndarray) -> np.ndarray:
         if unl_scores is not None:
             return unl_scores[np.searchsorted(unl_rows, cands)]
-        nbrs = unl_nbrs[0][np.searchsorted(unl_rows, cands)] if knn_scores else None
-        return boundary.uncertainty(ds.features[cands], strategy.kind, nbrs)
+        return boundary.uncertainty(cands, strategy.kind)
 
     def impurity_score(cands: np.ndarray) -> np.ndarray:
         lab = labelled[:n_lab]
@@ -477,10 +477,11 @@ def _curve(
                 config, update, unl_rows, pool_sq[unl_rows], lab_X[:n_lab], lab_sq,
                 (unl_nbrs[0][keep], unl_nbrs[1][keep]),
             )
+            unl_scores = boundary.uncertainty(unl_rows, strategy.kind, unl_nbrs[0])
         elif strategy.tag == MODEL_UNCERTAINTY:
             unl_rows = unlabelled
             whole = _scores_whole_pool(config, unl_rows.size)
-            unl_scores = boundary.uncertainty(ds.features[unl_rows], strategy.kind) if whole else None
+            unl_scores = boundary.uncertainty(unl_rows, strategy.kind) if whole else None
         if use_pca:
             n_comp = min(strategy.pca_components, n_lab, ds.n_features)
             pca = pca_fit(lab_X[:n_lab], n_comp)

@@ -7,9 +7,11 @@ ties must break deterministically by ascending pool index.
 
 The matrix expansion |q|^2 - 2 q.r + |r|^2 is fast but loses digits to
 cancellation (coincident points come out near 1e-8 instead of 0, far worse
-on data far from the origin), so it only shortlists candidates; returned
-distances are recomputed as direct differences. Memory is O(chunk x
-n_reference): no n_queries x n_reference array is ever formed.
+on data far from the origin), so :func:`nearest_neighbors` uses it only to
+shortlist candidates and returns direct differences. :func:`extend_neighbors`
+keeps the expansion's values where its rounding bound decides the order, and
+recomputes the rest. Memory is O(chunk x n_reference): no n_queries x
+n_reference array is ever formed.
 """
 
 from __future__ import annotations
@@ -250,17 +252,23 @@ def extend_neighbors(
     ``indices`` and ``sq_distances`` are the lists of ``queries`` against
     the first ``start`` reference rows, as this function returns them;
     pass ``start = 0`` and (n_queries, 0) arrays for the first call. The
-    result, (indices, squared distances) of the min(k, n_reference)
-    nearest rows, is bit for bit ``nearest_neighbors(queries, reference,
-    k)`` with its distances squared: merging on squared values keeps the
-    order a fresh search gives, where two of them could share one root.
+    result holds the min(k, n_reference) nearest rows, each sorted by
+    (value, index). Its indices are bit for bit those of
+    ``nearest_neighbors(queries, reference, k)``, in their order; each
+    squared distance is the expansion's, within its rounding bound
+    (:func:`_sq_error_bound`, with the largest reference norm) of the
+    direct difference, or the direct difference itself.
 
     While the lists are short of k entries they hold every earlier row,
-    and the lists are searched afresh. Otherwise only the appended rows
-    are expanded, and only those whose expanded value lies within the
-    rounding bound of a row's k-th squared distance get an exact one.
-    ``q_sq`` and ``ref_sq`` are optional squared row norms, as for
-    :func:`nearest_neighbors`.
+    and the lists are searched afresh, with direct differences. Otherwise
+    only the appended rows are expanded. A row whose appended rows all lie
+    more than twice the bound beyond its k-th value keeps its list. The
+    others merge their lists with those appended rows by value. Only a
+    row where two of the first k+1 merged values lie within twice the
+    bound, whose order the expansion cannot decide, gets direct
+    differences: for every entry within twice the bound of its k-th, and
+    it keeps them as its values. ``q_sq`` and ``ref_sq`` are optional
+    squared row norms, as for :func:`nearest_neighbors`.
     """
     queries = np.asarray(queries, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
@@ -273,39 +281,58 @@ def extend_neighbors(
         raise ValueError("start must lie within the reference rows")
     if indices.shape != (n_q, min(k, start)) or sq_distances.shape != indices.shape:
         raise ValueError("the lists must have shape (n_queries, min(k, start))")
-    if ref_sq is not None:
-        ref_sq = _norms(reference, ref_sq, "reference")
+    ref_sq = _norms(reference, ref_sq, "reference")
     if start < k:
         return _nearest_sq(queries, reference, k, q_sq=q_sq, ref_sq=ref_sq)
     q_sq = _norms(queries, q_sq, "query")
     if start == n_ref:
         return indices, sq_distances
 
-    new = reference[start:]
-    new_sq = _norms(new, None if ref_sq is None else ref_sq[start:], "reference")
-    new_max = float(new_sq.max())
+    # The largest norm of every row so far bounds the error of the values
+    # carried from earlier calls as well as of the appended rows'.
+    ref_max = float(ref_sq.max())
+    new, new_sq = reference[start:], ref_sq[start:]
+    new_idx = np.arange(start, n_ref)
     indices = indices.copy()
     sq_distances = sq_distances.copy()
     for start_q in range(0, n_q, _CHUNK_ROWS):
         out = slice(start_q, start_q + _CHUNK_ROWS)
-        chunk = queries[out]
-        c_sq = q_sq[out]
-        # An appended row can beat the k-th entry only if its expanded value
-        # is within the bound of that entry's exact value.
-        limit = sq_distances[out, k - 1] + _sq_error_bound(d, c_sq, new_max)
+        chunk, c_sq = queries[out], q_sq[out]
+        old_idx, old_sq = indices[out], sq_distances[out]
+        # Values more than twice the bound apart keep their exact order.
+        slack = 2.0 * _sq_error_bound(d, c_sq, ref_max)
         sq = _expanded_sq(chunk, c_sq, new, new_sq)
-        rows, cols = np.nonzero(sq <= limit[:, None])
-        if rows.size == 0:
+        near = sq <= (old_sq[:, k - 1] + slack)[:, None]
+        hit = np.flatnonzero(near.any(axis=1))
+        if hit.size == 0:
             continue
-        # Merge each row's list with the appended rows, those not
-        # shortlisted at inf so that they sort last.
-        sq.fill(np.inf)
-        sq[rows, cols] = _exact_sq(chunk, new, cols[:, None], rows)[:, 0]
-        m_sq = np.hstack([sq_distances[out], sq])
-        m_idx = np.hstack([indices[out], np.broadcast_to(np.arange(start, n_ref), sq.shape)])
-        order = np.lexsort((m_idx, m_sq))[:, :k]
-        indices[out] = np.take_along_axis(m_idx, order, axis=1)
-        sq_distances[out] = np.take_along_axis(m_sq, order, axis=1)
+        # Merge each hit row's list with the appended rows, those not
+        # shortlisted at inf so that they sort last. How the sort orders
+        # ties does not matter: two values within the slack make the row
+        # ambiguous, and an ambiguous row is ordered by exact values.
+        sq[~near] = np.inf
+        m_sq = np.hstack([old_sq[hit], sq[hit]])
+        m_idx = np.hstack([old_idx[hit], np.broadcast_to(new_idx, (hit.size, new_idx.size))])
+        order = np.argsort(m_sq, axis=1)
+        rows = np.arange(hit.size)[:, None]
+        top_sq = m_sq[rows, order[:, : k + 1]]
+        top_idx = m_idx[rows, order[:, :k]]
+        h_slack = slack[hit]
+        amb = np.flatnonzero((np.diff(top_sq, axis=1) <= h_slack[:, None]).any(axis=1))
+        if amb.size:
+            # Every entry within twice the bound of the k-th may belong in
+            # the list; the widest such row sets the columns recomputed.
+            a_order = order[amb]
+            a_sq = m_sq[amb[:, None], a_order]
+            width = int((a_sq <= (a_sq[:, k - 1] + h_slack[amb])[:, None]).sum(axis=1).max())
+            cand = m_idx[amb[:, None], a_order[:, :width]]
+            ex = _exact_sq(chunk, reference, cand, hit[amb])
+            best = np.lexsort((cand, ex))[:, :k]
+            a_rows = np.arange(amb.size)[:, None]
+            top_idx[amb] = cand[a_rows, best]
+            top_sq[amb, :k] = ex[a_rows, best]
+        indices[start_q + hit] = top_idx
+        sq_distances[start_q + hit] = top_sq[:, :k]
     return indices, sq_distances
 
 

@@ -286,7 +286,7 @@ class TestRunExperiment:
 
 class TestKnnTestLists:
     """The kNN model predicts from neighbour lists that each boundary
-    extends, for the test rows and for the candidates; its curves must
+    extends, for the test rows and for the unlabelled pool; its curves must
     equal knn_predict run afresh."""
 
     def fresh_curve(self, config, seed, monkeypatch):
@@ -294,11 +294,11 @@ class TestKnnTestLists:
         count of each prediction."""
         seen = []
 
-        def fresh(boundary, X, neighbors=None):
+        def fresh(boundary, rows, neighbors=None):
             assert neighbors is not None
-            seen.append(X.shape[0])
-            train = boundary.config.dataset.select_rows(boundary.labelled)
-            out = knn_predict(train, X, boundary.config.model.knn_k)
+            seen.append(rows.size)
+            ds = boundary.config.dataset
+            out = knn_predict(ds.select_rows(boundary.labelled), ds.features[rows], boundary.config.model.knn_k)
             return EnsemblePrediction(per_member=out[None], aggregate=out, task=config.task)
 
         with monkeypatch.context() as m:
@@ -350,9 +350,11 @@ class TestKnnTestLists:
         for seed in (0, 1, 2):
             fresh, rows = self.fresh_curve(config, seed, monkeypatch)
             assert run_experiment(config, seed) == fresh
-            # Besides the 11 test-set evaluations, every pick scored a batch.
-            assert rows.count(config.test_size) == config.n_updates + 1
-            assert rows.count(config.candidate_batch_size) == config.n_updates * 4
+            # Besides the 11 test-set evaluations, each update scored its
+            # whole unlabelled pool once.
+            n_unlabelled = config.dataset.n_rows - config.test_size - config.initial_train_size
+            pools = [n_unlabelled - u * config.additions_per_update for u in range(config.n_updates)]
+            assert sorted(rows) == sorted([config.test_size] * (config.n_updates + 1) + pools)
 
     def test_candidate_scores_make_no_search(self, rng, monkeypatch):
         calls = []

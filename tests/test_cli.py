@@ -3,6 +3,10 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,9 @@ from dci_lab.dci import DciParams, dci_scores
 from dci_lab.models import fit_ensemble
 from dci_lab.neighbors import nearest_neighbors
 from dci_lab.synthetic import census_income, three_class_points, wine_quality
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def write_cfg(path, **pairs):
@@ -262,6 +269,40 @@ class TestSimulate:
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    def test_outputs_do_not_depend_on_blas_threads(self, tmp_path):
+        # The PCA fit and every neighbour search run through BLAS, whose
+        # summation order follows its thread count; the kNN lists and the
+        # scores must not. Each run is its own interpreter, since BLAS reads
+        # these variables when NumPy loads.
+        pairs = {
+            "data.source": "synthetic",
+            "data.name": "digits",
+            "data.n": "300",
+            "model.kind": "knn",
+            "model.knn_k": "5",
+            "experiment.metric": "accuracy",
+            "experiment.initial_train_size": "20",
+            "experiment.additions_per_update": "20",
+            "experiment.n_updates": "4",
+            "experiment.test_size": "100",
+            "strategies": "random,dci-high-pca5,uncertainty-max_prob",
+            "dci.k": "5",
+        }
+        cfg = write_cfg(tmp_path / "c.cfg", **pairs)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        outputs = []
+        for threads in ("1", "2"):
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            out = tmp_path / f"blas{threads}"
+            code = "import sys; from dci_lab.cli import main; sys.exit(main(sys.argv[1:]))"
+            argv = ["simulate", "--config", cfg, "--seed", "3", "--out", str(out), "--threads", "1"]
+            result = subprocess.run(
+                [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+            )
+            assert result.returncode == 0, result.stderr
+            outputs.append([(out / name).read_bytes() for name in ("curves.csv", "summary.csv")])
+        assert outputs[0] == outputs[1]
 
 
 class TestDatasetFingerprint:

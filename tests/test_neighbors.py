@@ -184,14 +184,15 @@ class TestAgainstBruteForce:
 @st.composite
 def growth_problems(draw):
     """A reference set grown in random blocks, with duplicates and an offset:
-    Gaussian rows, rounded rows (exact ties), or signed permutations of one
-    vector around the origin, whose equal true distances round to squared
-    values a few ulp apart that can share a root. Queries mix copies of
-    reference rows with fresh rows (the origin for the permutations), across
-    more than one query chunk."""
+    Gaussian rows, integer-grid rows (exact ties), or signed permutations of
+    one vector around the origin, whose equal true distances round to
+    squared values a few ulp apart that can share a root. Rows have a few
+    columns or 784, as digit images do. Queries mix copies of reference rows
+    with fresh rows (the origin for the permutations), across more than one
+    query chunk."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["gauss", "rounded", "sphere"]))
-    d = draw(st.integers(2 if kind == "sphere" else 1, 5))
+    kind = draw(st.sampled_from(["gauss", "grid", "sphere"]))
+    d = draw(st.sampled_from([2, 3, 5, 784] if kind == "sphere" else [1, 2, 3, 5, 784]))
     n = draw(st.integers(1, 80))
     if kind == "sphere":
         base = rng.normal(size=d)
@@ -199,18 +200,20 @@ def growth_problems(draw):
         R *= rng.choice([-1.0, 1.0], size=(n, d))
     else:
         R = rng.normal(size=(n, d))
-        if kind == "rounded":
+        if kind == "grid":
             R = np.round(R * 2.0)
     n_dup = draw(st.integers(0, n // 2))
     if n_dup:
         R[rng.integers(0, n, size=n_dup)] = R[rng.integers(0, n, size=n_dup)]
-    offset = draw(st.sampled_from([0.0, -1e3, 1e6]))
+    offset = draw(st.sampled_from([0.0, -1e3, 1e6, 1e8]))
     m = draw(st.sampled_from([1, 5, 300]))
     n_copy = draw(st.integers(0, m))
     if kind == "sphere":
         fresh = np.zeros((m - n_copy, d))
     else:
         fresh = R.mean(axis=0) + rng.normal(size=(m - n_copy, d)) * (R.std() + 1.0)
+        if kind == "grid":
+            fresh = np.round(fresh)
     Q = np.vstack([R[rng.integers(0, n, size=n_copy)], fresh])[rng.permutation(m)]
     R = R + offset
     Q = Q + offset
@@ -224,6 +227,23 @@ def growth_problems(draw):
     return Q, R, k, ends
 
 
+def assert_list_values(Q, R, old, new):
+    """Each value of the lists ``new`` lies within the expansion's rounding
+    bound of its exact squared distance, and each row that changed from
+    ``old`` and holds two values within twice the bound of each other holds
+    exact ones (a list's values are sorted)."""
+    idx, sq = new
+    exact = neighbors._exact_sq(Q, R, idx)
+    bound = neighbors._sq_error_bound(R.shape[1], neighbors._sq_norms(Q), neighbors._sq_norms(R).max())
+    assert (np.abs(sq - exact) <= bound[:, None]).all()
+    changed = np.ones(Q.shape[0], dtype=bool)
+    if old[0].shape == idx.shape:
+        changed = (old[0] != idx).any(axis=1) | (old[1] != sq).any(axis=1)
+    close = (np.diff(sq, axis=1) <= 2.0 * bound[:, None]).any(axis=1)
+    rows = changed & close
+    assert sq[rows].tobytes() == exact[rows].tobytes()
+
+
 class TestExtendNeighbors:
     @given(growth_problems())
     def test_every_step_equals_a_fresh_search(self, problem):
@@ -232,11 +252,11 @@ class TestExtendNeighbors:
         sq = np.empty((Q.shape[0], 0))
         start = 0
         for end in ends:
+            old = idx, sq
             idx, sq = extend_neighbors(Q, R[:end], start, idx, sq, k)
             start = end
-            want_idx, want_dist = nearest_neighbors(Q, R[:end], k)
-            assert idx.tolist() == want_idx.tolist()
-            assert np.sqrt(sq).tobytes() == want_dist.tobytes()
+            assert idx.tolist() == nearest_neighbors(Q, R[:end], k)[0].tolist()
+            assert_list_values(Q, R[:end], old, (idx, sq))
 
     def test_inputs_are_left_alone_and_nothing_appended_is_a_no_op(self, rng):
         R = rng.normal(size=(30, 3))
@@ -254,18 +274,17 @@ class TestExtendNeighbors:
         # per pair up front would take pairs x d floats.
         Q = rng.normal(size=(256, 64))
         R = np.vstack([rng.normal(size=(10, 64)) + 50.0, rng.normal(size=(256, 64))])
-        idx, sq = extend_neighbors(Q, R[:10], 0, np.empty((256, 0), np.int64), np.empty((256, 0)), 5)
+        old = extend_neighbors(Q, R[:10], 0, np.empty((256, 0), np.int64), np.empty((256, 0)), 5)
         per_pair = Q.shape[0] * (R.shape[0] - 10) * Q.shape[1] * 8
         tracemalloc.start()
         try:
-            idx, sq = extend_neighbors(Q, R, 10, idx, sq, 5)
+            idx, sq = extend_neighbors(Q, R, 10, *old, 5)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < per_pair / 4
-        want_idx, want_dist = nearest_neighbors(Q, R, 5)
-        assert idx.tolist() == want_idx.tolist()
-        assert np.sqrt(sq).tobytes() == want_dist.tobytes()
+        assert idx.tolist() == nearest_neighbors(Q, R, 5)[0].tolist()
+        assert_list_values(Q, R, old, (idx, sq))
 
     def test_validation(self, rng):
         R = rng.normal(size=(10, 2))
