@@ -9,11 +9,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import hashlib
 import json
 import os
 import sys
 from dataclasses import dataclass, replace
+from glob import glob
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +58,11 @@ from .models import UNCERTAINTY, fit_ensemble, predict
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
+
+# Variables through which a user sets the BLAS thread count, and the
+# OpenBLAS that NumPy's wheels bundle.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_OPENBLAS = str(Path(np.__file__).resolve().parent.parent / "numpy.libs" / "libscipy_openblas64_*.so")
 
 
 @dataclass(frozen=True)
@@ -307,6 +314,22 @@ def _thread_count(flag: int | None) -> int:
     return value
 
 
+def _one_blas_thread() -> None:
+    """Run BLAS on one thread, unless the environment sets its thread count.
+
+    Seed runs fan out over processes (``--threads``), and BLAS threads in
+    each would oversubscribe the cores. NumPy has loaded BLAS before the
+    CLI runs, too late for the environment, so the bundled OpenBLAS is
+    told at run time.
+    """
+    if any(name in os.environ for name in _BLAS_THREAD_VARS):
+        return
+    try:
+        ctypes.CDLL(glob(_OPENBLAS)[0]).scipy_openblas_set_num_threads64_(1)
+    except (IndexError, OSError, AttributeError):
+        print("dci-lab: cannot set BLAS to one thread; it runs at its default count", file=sys.stderr)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dci-lab",
@@ -337,6 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _one_blas_thread()
     try:
         overrides = load_config(args.config) if args.config else {}
         if args.config is None and args.preset is None:

@@ -7,10 +7,11 @@ ties must break deterministically by ascending pool index.
 
 The matrix expansion |q|^2 - 2 q.r + |r|^2 is fast but loses digits to
 cancellation (coincident points come out near 1e-8 instead of 0, far worse
-on data far from the origin), so :func:`nearest_neighbors` uses it only to
-shortlist candidates and returns direct differences. :func:`extend_neighbors`
-keeps the expansion's values where its rounding bound decides the order, and
-recomputes the rest. Memory is O(chunk x n_reference): no n_queries x
+on data far from the origin). Both searches filter with it: a candidate
+is a row whose expanded value lies within twice its rounding bound of the
+k-th, and :func:`_exact_top_k` orders the candidates by direct difference.
+:func:`extend_neighbors` keeps the expansion's values where the bound
+decides the order. Memory is O(chunk x n_reference): no n_queries x
 n_reference array is ever formed.
 """
 
@@ -23,7 +24,7 @@ import numpy as np
 from .dataset import DataError, Dataset
 
 # Query rows per block of expanded distances: the (chunk, n_ref) float64
-# block and its argpartition indices are the largest arrays held at once,
+# block and its partitioned copy are the largest arrays held at once,
 # about 40 MB for a 10 000-row pool.
 _CHUNK_ROWS = 256
 # Float64 elements per block of direct differences (256 KB): small enough
@@ -95,7 +96,7 @@ def pairwise_sq_distances(queries: np.ndarray, reference: np.ndarray) -> np.ndar
     Computed per chunk as |q|^2 - 2 q.r + |r|^2 and clamped at zero; the
     expansion can go slightly negative for near-identical points, and its
     absolute error grows with the squared norms. :func:`nearest_neighbors`
-    uses it only to shortlist and returns direct-difference distances.
+    uses it only to filter and returns direct-difference distances.
     """
     queries = np.asarray(queries, dtype=np.float64)
     reference = np.asarray(reference, dtype=np.float64)
@@ -109,20 +110,36 @@ def pairwise_sq_distances(queries: np.ndarray, reference: np.ndarray) -> np.ndar
     return out
 
 
-def _exact_sq(
-    queries: np.ndarray, reference: np.ndarray, cols: np.ndarray, rows: np.ndarray | None = None
-) -> np.ndarray:
-    """sum((queries[rows[i]] - reference[cols[i, j]])^2) per (i, j), in
-    cache-sized blocks; ``rows`` defaults to 0, 1, ... Both sides are
-    gathered one block at a time."""
+def _exact_sq(queries: np.ndarray, reference: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """sum((queries[i] - reference[cols[i, j]])^2) per (i, j), in
+    cache-sized blocks of gathered reference rows."""
     out = np.empty(cols.shape)
     step = max(1, _PAIR_BLOCK // max(1, cols.shape[1] * reference.shape[1]))
     for s in range(0, cols.shape[0], step):
         diff = reference[cols[s : s + step]]
-        diff -= (queries[s : s + step] if rows is None else queries[rows[s : s + step]])[:, None, :]
+        diff -= queries[s : s + step, None, :]
         flat = diff.reshape(-1, diff.shape[-1])
         out[s : s + step] = np.einsum("ij,ij->i", flat, flat).reshape(diff.shape[:2])
     return out
+
+
+def _exact_top_k(
+    queries: np.ndarray, reference: np.ndarray, rows: np.ndarray, cols: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(indices, squared distances) of the k nearest candidates of each query
+    row by (direct difference, index). ``queries[i]`` has at least k, at
+    ``reference[cols[rows == i]]``, with ``rows`` ascending as from
+    ``np.nonzero``; they are padded to the widest row, and padding sorts last."""
+    counts = np.bincount(rows, minlength=queries.shape[0])
+    pad = np.arange(counts.max()) >= counts[:, None]
+    cand = np.zeros(pad.shape, dtype=np.int64)
+    cand[~pad] = cols
+    ex = _exact_sq(queries, reference, cand)
+    ex[pad] = np.inf
+    cand[pad] = reference.shape[0]
+    best = np.lexsort((cand, ex))[:, :k]
+    at = np.arange(best.shape[0])[:, None]
+    return cand[at, best], ex[at, best]
 
 
 def _sq_error_bound(d: int, q_sq: np.ndarray, ref_max: float) -> np.ndarray:
@@ -180,30 +197,15 @@ def _nearest_sq(
     indices = np.empty((n_q, k), dtype=np.int64)
     distances = np.empty((n_q, k))
     for start in range(0, n_q, _CHUNK_ROWS):
-        chunk = queries[start : start + _CHUNK_ROWS]
-        c_sq = q_sq[start : start + _CHUNK_ROWS]
-        sq = _expanded_sq(chunk, c_sq, reference, ref_sq)
-        rows = np.arange(chunk.shape[0])
-        # One kth value: NumPy partitions several kth values far more slowly.
-        part = np.argpartition(sq, k if k < n_ref else k - 1, axis=1)
-        cand = part[:, :k]
-        # A reference row can beat or tie the k-th candidate only if its
+        out = slice(start, start + _CHUNK_ROWS)
+        sq = _expanded_sq(queries[out], q_sq[out], reference, ref_sq)
+        # A reference row can beat or tie the k-th nearest only if its
         # expanded value is within twice the bound of the k-th one.
-        limit = sq[rows[:, None], cand].max(axis=1) + 2.0 * _sq_error_bound(d, c_sq, ref_max)
-        ex = _exact_sq(chunk, reference, cand)
-        order = np.lexsort((cand, ex))
-        out = slice(start, start + chunk.shape[0])
-        indices[out] = cand[rows[:, None], order]
-        distances[out] = ex[rows[:, None], order]
-        if k == n_ref:
-            continue
-        # Contested rows: redo exactly over every rival inside the bound.
-        for i in np.flatnonzero(sq[rows, part[:, k]] <= limit):
-            rivals = np.flatnonzero(sq[i] <= limit[i])
-            r_sq = _exact_sq(chunk[i : i + 1], reference, rivals[None, :])[0]
-            best = np.lexsort((rivals, r_sq))[:k]
-            indices[start + i] = rivals[best]
-            distances[start + i] = r_sq[best]
+        limit = np.partition(sq, k - 1, axis=1)[:, k - 1]
+        limit += 2.0 * _sq_error_bound(d, q_sq[out], ref_max)
+        # Several times faster than np.nonzero of the 2-d mask.
+        rows, cols = np.divmod(np.flatnonzero(sq <= limit[:, None]), n_ref)
+        indices[out], distances[out] = _exact_top_k(queries[out], reference, rows, cols, k)
     return indices, distances
 
 
@@ -221,11 +223,12 @@ def nearest_neighbors(
     (distance, reference index), and distances are direct differences, so
     coincident points are exactly 0.
 
-    Per chunk of queries the expansion shortlists k candidates with
-    ``argpartition``; only they get an exact distance. A row whose
-    (k+1)-th expanded value lies within the expansion's rounding bound of
-    its k-th has rivals the expansion cannot order, and is redone exactly
-    over every reference row inside that bound.
+    Per chunk of queries the expansion filters: a reference row is a
+    candidate when its expanded value is at most the query's k-th smallest
+    plus twice the expansion's rounding bound (:func:`_sq_error_bound`).
+    Only candidates get a direct difference; usually there are k of them,
+    and more only where the expansion cannot order the k-th against its
+    rivals.
 
     ``q_sq`` and ``ref_sq`` are the squared row norms of ``queries`` and
     ``reference`` when the caller already holds them; by default they are
@@ -320,17 +323,11 @@ def extend_neighbors(
         h_slack = slack[hit]
         amb = np.flatnonzero((np.diff(top_sq, axis=1) <= h_slack[:, None]).any(axis=1))
         if amb.size:
-            # Every entry within twice the bound of the k-th may belong in
-            # the list; the widest such row sets the columns recomputed.
-            a_order = order[amb]
-            a_sq = m_sq[amb[:, None], a_order]
-            width = int((a_sq <= (a_sq[:, k - 1] + h_slack[amb])[:, None]).sum(axis=1).max())
-            cand = m_idx[amb[:, None], a_order[:, :width]]
-            ex = _exact_sq(chunk, reference, cand, hit[amb])
-            best = np.lexsort((cand, ex))[:, :k]
-            a_rows = np.arange(amb.size)[:, None]
-            top_idx[amb] = cand[a_rows, best]
-            top_sq[amb, :k] = ex[a_rows, best]
+            # Every entry within twice the bound of the k-th may belong in the list.
+            a_rows, a_cols = np.nonzero(m_sq[amb] <= (top_sq[amb, k - 1] + h_slack[amb])[:, None])
+            top_idx[amb], top_sq[amb, :k] = _exact_top_k(
+                chunk[hit[amb]], reference, a_rows, m_idx[amb[a_rows], a_cols], k
+            )
         indices[start_q + hit] = top_idx
         sq_distances[start_q + hit] = top_sq[:, :k]
     return indices, sq_distances

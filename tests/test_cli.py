@@ -1,6 +1,7 @@
 """End-to-end command line runs against library-derived oracles."""
 
 import csv
+import glob
 import hashlib
 import json
 import os
@@ -303,6 +304,54 @@ class TestSimulate:
             assert result.returncode == 0, result.stderr
             outputs.append([(out / name).read_bytes() for name in ("curves.csv", "summary.csv")])
         assert outputs[0] == outputs[1]
+
+
+class TestBlasThreads:
+    # The BLAS thread count is process state, so each probe is its own
+    # interpreter. It reads the count before and after one grid run.
+    PROBE = (
+        "import ctypes, glob, sys; from dci_lab import cli; "
+        "blas = ctypes.CDLL(glob.glob(cli._OPENBLAS)[0]); "
+        "before = blas.scipy_openblas_get_num_threads64_(); "
+        "code = cli.main(sys.argv[1:]); "
+        "print(before, blas.scipy_openblas_get_num_threads64_(), code)"
+    )
+
+    def probe(self, tmp_path, **blas_env):
+        grid = {"grid.x_min": "-2", "grid.x_max": "6", "grid.y_min": "-2", "grid.y_max": "5"}
+        cfg = write_cfg(tmp_path / "c.cfg", **base_pairs(**grid, **{"grid.resolution": "4"}))
+        env = {k: v for k, v in os.environ.items() if k not in cli._BLAS_THREAD_VARS}
+        env.update(blas_env, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        argv = ["grid", "--config", cfg, "--out", str(tmp_path)]
+        result = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert result.returncode == 0 and result.stderr == "", result.stderr
+        before, after, code = map(int, result.stdout.split())
+        assert code == 0
+        return before, after
+
+    bundled = pytest.mark.skipif(not glob.glob(cli._OPENBLAS), reason="NumPy without its bundled OpenBLAS")
+
+    @bundled
+    def test_the_cli_runs_blas_on_one_thread(self, tmp_path):
+        assert self.probe(tmp_path)[1] == 1
+
+    @bundled
+    @pytest.mark.parametrize("name", cli._BLAS_THREAD_VARS)
+    def test_a_count_set_in_the_environment_is_kept(self, tmp_path, name):
+        before, after = self.probe(tmp_path, **{name: "2"})
+        assert after == before
+
+    def test_a_missing_library_is_one_line_on_stderr(self, tmp_path, monkeypatch, capsys):
+        for name in cli._BLAS_THREAD_VARS:
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(cli, "_OPENBLAS", str(tmp_path / "missing-*.so"))
+        cfg = write_cfg(tmp_path / "c.cfg", **base_pairs(**{"score.query": str(tmp_path / "q.csv")}))
+        (tmp_path / "q.csv").write_text("x,y\n1,2\n")
+        assert main(["score", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == "dci-lab: cannot set BLAS to one thread; it runs at its default count\n"
+        assert (tmp_path / "scores.csv").exists()
 
 
 class TestDatasetFingerprint:

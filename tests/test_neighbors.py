@@ -77,12 +77,22 @@ class TestNearestNeighbors:
             nearest_neighbors(X[:1], X[:0], 1)
         idx, _ = nearest_neighbors(X, X, 5)
         assert idx.shape == (5, 5)
+        # No query rows: no lists, fresh or extended.
+        idx, dist = nearest_neighbors(X[:0], X, 3)
+        assert idx.shape == dist.shape == (0, 3)
+        idx, sq = extend_neighbors(X[:0], X, 4, idx, dist, 3)
+        assert idx.shape == sq.shape == (0, 3)
+
+
+def direct_sq(Q, R):
+    """Direct-difference squared distances, shape (n_queries, n_reference)."""
+    diff = (R[None, :, :] - Q[:, None, :]).reshape(-1, R.shape[1])
+    return np.einsum("ij,ij->i", diff, diff).reshape(Q.shape[0], R.shape[0])
 
 
 def brute_force(Q, R, k):
     """Rank every reference row by direct-difference distance, then index."""
-    diff = (R[None, :, :] - Q[:, None, :]).reshape(-1, R.shape[1])
-    sq = np.einsum("ij,ij->i", diff, diff).reshape(Q.shape[0], R.shape[0])
+    sq = direct_sq(Q, R)
     order = np.argsort(sq, axis=1, kind="stable")[:, :k]
     return order, np.sqrt(np.take_along_axis(sq, order, axis=1))
 
@@ -305,6 +315,74 @@ class TestExtendNeighbors:
                 extend_neighbors(Q, Y, 6, idx, sq, 4)
 
 
+def tie_heavy_pool(rng, kind, offset):
+    """Integer-grid rows with duplicates, 12 rows repeated 10 times each, or
+    signed permutations of one vector (equal distances from the origin up
+    to a few ulp); 300 queries, two chunks, mix copies and fresh rows."""
+    if kind == "sphere":
+        R = np.array([rng.permutation([0.3, 1.7, 2.9, 4.1]) for _ in range(60)])
+        R *= rng.choice([-1.0, 1.0], size=R.shape)
+        Q = np.vstack([R[rng.integers(0, 60, size=150)], np.zeros((150, 4))])
+    else:
+        if kind == "grid":
+            R = np.round(rng.normal(size=(120, 3)) * 2.0)
+            R[rng.integers(0, 120, size=40)] = R[rng.integers(0, 120, size=40)]
+        else:
+            R = np.repeat(np.round(rng.normal(size=(12, 3)) * 2.0), 10, axis=0)
+        R = R[rng.permutation(R.shape[0])]
+        Q = np.vstack([R[rng.integers(0, R.shape[0], size=150)], np.round(rng.normal(size=(150, 3)) * 2.0)])
+    return Q[rng.permutation(300)] + offset, R + offset
+
+
+class TestBoundSlack:
+    """The searches are exact for any expanded values within the rounding
+    bound of the direct differences, not only for those BLAS happens to
+    give: each value is replaced by its direct difference plus 0.999 of the
+    bound for the true k nearest and minus it for every other row, which
+    swaps the order of every tie and near-tie."""
+
+    @staticmethod
+    def skew(monkeypatch, k):
+        current = {}
+
+        def expanded(chunk, q_sq, reference, ref_sq):
+            # ``reference`` is the tail of the current reference rows that
+            # the call expands (all of them, or those appended).
+            R = current["R"]
+            sq = direct_sq(chunk, R)
+            sign = np.full(sq.shape, -1.0)
+            np.put_along_axis(sign, np.argsort(sq, axis=1, kind="stable")[:, :k], 1.0, axis=1)
+            bound = neighbors._sq_error_bound(R.shape[1], q_sq, neighbors._sq_norms(R).max())
+            shift = 0.999 * bound[:, None]
+            skewed = sq + shift * sign
+            # Rounding can carry a value past the shift; step it back.
+            over = np.abs(skewed - sq) > shift
+            skewed[over] = np.nextafter(skewed[over], sq[over])
+            return skewed[:, R.shape[0] - reference.shape[0] :]
+
+        monkeypatch.setattr(neighbors, "_expanded_sq", expanded)
+        return current
+
+    @pytest.mark.parametrize("kind", ["grid", "copies", "sphere"])
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    @pytest.mark.parametrize("k", [1, 4, 25])
+    def test_searches_hold_under_the_bound(self, rng, monkeypatch, kind, offset, k):
+        Q, R = tie_heavy_pool(rng, kind, offset)
+        current = self.skew(monkeypatch, k)
+        current["R"] = R
+        idx, dist = nearest_neighbors(Q, R, k)
+        want_idx, want_dist = brute_force(Q, R, k)
+        assert idx.tolist() == want_idx.tolist()
+        assert dist.tobytes() == want_dist.tobytes()
+        lists = np.empty((Q.shape[0], 0), dtype=np.int64), np.empty((Q.shape[0], 0))
+        start = 0
+        for end in (3, 10, 11, R.shape[0] // 3, R.shape[0] // 2, R.shape[0]):
+            current["R"] = R[:end]
+            lists = extend_neighbors(Q, R[:end], start, *lists, k)
+            start = end
+            assert lists[0].tolist() == brute_force(Q, R[:end], k)[0].tolist()
+
+
 class TestKnn:
     def test_returns_sorted_labelled_neighbours(self, rng):
         X = rng.normal(size=(30, 2))
@@ -376,13 +454,19 @@ class TestPrecomputedNorms:
         # a few ulp, so the k-th neighbour of the origin is contested.
         R = np.array([rng.permutation([0.3, 1.7, 2.9]) for _ in range(12)])
         R *= rng.choice([-1.0, 1.0], size=R.shape)
-        Q = np.vstack([np.zeros((1, 3)), R[:4]])
-        q_sq, ref_sq = self.pool_norms(Q, R)
-        for k in (1, 3, 5, 11):
-            want = nearest_neighbors(Q, R, k)
-            got = nearest_neighbors(Q, R, k, q_sq=q_sq, ref_sq=ref_sq)
-            assert got[0].tolist() == want[0].tolist()
-            assert got[1].tobytes() == want[1].tobytes()
+        sphere = np.vstack([np.zeros((1, 3)), R[:4]]), R, (1, 3, 5, 11)
+        # 30 copies of each of 12 rows: every query's k-th neighbour ties
+        # with 29 others or more, in both chunks of 300 queries.
+        R = np.repeat(np.round(rng.normal(size=(12, 4)) * 2.0), 30, axis=0)[rng.permutation(360)]
+        Q = np.vstack([R[rng.integers(0, 360, size=150)], np.round(rng.normal(size=(150, 4)) * 2.0)])
+        copies = Q, R, (1, 20, 359, 360)
+        for Q, R, ks in (sphere, copies):
+            q_sq, ref_sq = self.pool_norms(Q, R)
+            for k in ks:
+                want = brute_force(Q, R, k)
+                for got in (nearest_neighbors(Q, R, k), nearest_neighbors(Q, R, k, q_sq=q_sq, ref_sq=ref_sq)):
+                    assert got[0].tolist() == want[0].tolist()
+                    assert got[1].tobytes() == want[1].tobytes()
 
     @given(growth_problems())
     def test_extend_neighbors_bits_across_boundaries(self, problem):
