@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import DataError, Dataset
 from .neighbors import knn
 
 CLASSIFICATION = "classification"
@@ -155,24 +155,25 @@ class EnsemblePrediction:
 _BATCH_CELLS = 1 << 14
 
 
-def _gini_scores(class_counts, n_left: np.ndarray, n: np.ndarray, n_classes: int) -> np.ndarray:
-    """Summed child Gini, up to terms constant per node, of splits that put
-    n_left of a node's n rows (both float64) on the left.
+def _split_scores(sums, n_left: np.ndarray, n: np.ndarray, count: int) -> np.ndarray:
+    """Summed child impurity, up to terms constant per node, of splits that
+    put n_left of a node's n rows (both float64) on the left: minus the sum,
+    over ``count`` quantities, of left²/n_left + right²/n_right.
 
-    Minimizing summed child Gini equals maximizing the sum of squared class
-    counts over child size; the constant parent terms drop out.
-    ``class_counts(c)`` returns class c's (left, node) counts in float64 for
-    every class but the last, which gets what is left. Counts are exact in
-    float64, so equal counts score to equal bits, however they were counted.
+    ``sums(q)`` returns quantity q's (left, node) sums in float64. Class
+    counts give summed child Gini; the last class gets what the others
+    leave. One quantity, labels less the node's first, gives summed child
+    squared error (shifted data: Chan, Golub & LeVeque 1983). Counts are
+    exact in float64, so equal counts score to equal bits.
     """
     inv_nl, inv_nr = 1.0 / n_left, 1.0 / (n - n_left)
     seen_at, seen_end = n_left, n
     score = np.zeros(n_left.size)
-    for c in range(n_classes):
-        if c == n_classes - 1:
+    for q in range(count):
+        if 0 < q == count - 1:
             cum_at, cum_end = seen_at, seen_end
         else:
-            cum_at, cum_end = class_counts(c)
+            cum_at, cum_end = sums(q)
             seen_at, seen_end = seen_at - cum_at, seen_end - cum_end
         score -= cum_at**2 * inv_nl + (cum_end - cum_at) ** 2 * inv_nr
     return score
@@ -198,12 +199,13 @@ def _best_splits(
     n[k]; ``ranks`` is (d, n_rows), equal values sharing a rank. Per feature
     and node this sorts the rows stably, by (value, position in the node),
     into the (d, K, m) sorted rows, and scores only the midpoints between
-    unequal values that leave min_leaf rows on each side; pads sort last and
-    are never scored. Each scored cell sees the same operations in the same
-    order as a search on its node alone, so batching changes no bit. Ties
-    resolve to the lowest (feature index, threshold), as a front-to-back
-    argmin over each node's feature-major scores would. Position -1, with
-    score inf, marks no valid split.
+    unequal values that leave min_leaf rows on each side, from class counts
+    or from labels ``y`` less the node's first; pads sort last and are never
+    scored. Each scored cell sees the same operations in the same order as
+    a search on its node alone, so batching changes no bit. Ties resolve to
+    the lowest (feature index, threshold), as a front-to-back argmin over
+    each node's feature-major scores would. Position -1, with score inf,
+    marks no valid split.
     """
     K, m = rows.shape
     d, n_rows = ranks.shape
@@ -230,23 +232,13 @@ def _best_splits(
     line, j = np.divmod(cell, m - 1)
     n_line = np.tile(n, d)[line]
     at, end = cell + line, m * line + n_line - 1
-    if task == CLASSIFICATION:
 
-        def class_counts(c):
-            cum = np.cumsum(ys == c, axis=-1, dtype=np.float64).ravel()
-            return cum[at], cum[end]
+    def sums(q):
+        v = ys == q if task == CLASSIFICATION else ys - y[rows[:, 0], None]
+        cum = np.cumsum(v, axis=-1, dtype=np.float64).ravel()
+        return cum[at], cum[end]
 
-        score = _gini_scores(class_counts, j + 1.0, n_line + 0.0, n_classes)
-    else:
-        inv = 1.0 / np.arange(1.0, m + 1)  # inv[c - 1] = 1 / c
-        inv_nl, inv_nr = inv[j], inv[end - at - 1]
-        cs = np.cumsum(ys, axis=-1).ravel()
-        css = np.cumsum(ys * ys, axis=-1).ravel()
-        # Cancellation can push a sum-of-squared-errors term slightly
-        # negative; harmless for an argmin over relative scores.
-        score = (css[at] - cs[at] ** 2 * inv_nl) + (
-            (css[end] - css[at]) - (cs[end] - cs[at]) ** 2 * inv_nr
-        )
+    score = _split_scores(sums, j + 1.0, n_line + 0.0, max(n_classes, 1))
     grid = np.full((d, K, m - 1), np.inf)
     grid.ravel()[cell] = score
     # The first minimum of each line, then the first feature holding the
@@ -281,7 +273,7 @@ def _count_splits(
         return left.ravel()[cell] + 0.0, counts[node, c] + 0.0
 
     grid = np.full(n_left.shape, np.inf)
-    grid.ravel()[cell] = _gini_scores(class_counts, n_left.ravel()[cell] + 0.0, n[node] + 0.0, n_classes)
+    grid.ravel()[cell] = _split_scores(class_counts, n_left.ravel()[cell] + 0.0, n[node] + 0.0, n_classes)
     return _first_minima(grid, n_left - 1)
 
 
@@ -304,6 +296,9 @@ def _grow_trees(
     two = np.flatnonzero(ranks.max(axis=1) <= 1) if task == CLASSIFICATION else np.arange(0)
     sort_cols = np.setdiff1d(np.arange(X.shape[1]), two)
     low, sort_ranks = ranks[two] == 0, ranks[sort_cols]
+    # Regression scores labels scaled by the power of two that brings them
+    # below 1 in magnitude: exact, so no comparison moves, and none overflows.
+    y_split = y if task == CLASSIFICATION else np.ldexp(y, -np.frexp(np.abs(y).max())[1])
     ids = np.arange(len(boots))  # the frontier: node ids, rows and row counts
     rows = np.concatenate(boots)
     sizes = np.array([b.size for b in boots])
@@ -313,7 +308,7 @@ def _grow_trees(
         starts = np.cumsum(sizes) - sizes
         y_rows = y[rows]
         lo, hi = np.minimum.reduceat(y_rows, starts), np.maximum.reduceat(y_rows, starts)
-        grow = (hi != lo if task == CLASSIFICATION else hi - lo != 0.0) & (sizes >= max(2, 2 * model.min_leaf))
+        grow = (hi != lo) & (sizes >= max(2, 2 * model.min_leaf))
         if model.max_depth is not None and depth >= model.max_depth:
             grow[:] = False
         if task == CLASSIFICATION:
@@ -340,7 +335,7 @@ def _grow_trees(
             b1 = min(todo.size, b0 + max(1, _BATCH_CELLS // (m * sort_cols.size)))
             b1 = b0 + np.count_nonzero(2 * n[b0:b1] >= m)
             at = np.minimum(np.arange(m), n[b0:b1, None] - 1) + off[b0:b1, None]
-            fs, ps, ss, sorted_rows = _best_splits(sort_ranks, y, rows_g[at], n[b0:b1], task, n_classes, model.min_leaf)
+            fs, ps, ss, sorted_rows = _best_splits(sort_ranks, y_split, rows_g[at], n[b0:b1], task, n_classes, model.min_leaf)
             # The first minimum in feature-major order over both paths.
             win = np.flatnonzero((ss < score[b0:b1]) | ((ss == score[b0:b1]) & (sort_cols[fs] < f[b0:b1])))
             k = b0 + win
@@ -411,8 +406,9 @@ def fit_ensemble(
     # rows keep every sort order, and a column two-valued on all of them
     # still takes the count path.
     used, inverse = np.unique(np.concatenate(subsets), return_inverse=True)
-    X = train.features[used]
-    y = train.labels[used].astype(np.float64) if task == REGRESSION else train.labels[used]
+    X, y = train.features[used], train.labels[used]
+    if not (np.isfinite(X).all() and np.isfinite(y).all()):
+        raise DataError("tree training rows hold a non-finite feature or label")
     boots = [
         local[np.random.default_rng(seed + t).integers(0, local.size, size=local.size)]
         for local in np.split(inverse, np.cumsum([s.size for s in subsets])[:-1])
@@ -464,6 +460,8 @@ def predict(ensemble: TreeEnsemble, X: np.ndarray) -> EnsemblePrediction:
         raise ValueError(
             f"expected {ensemble.n_features} feature columns, got shape {X.shape}"
         )
+    if not np.isfinite(X).all():
+        raise DataError("prediction rows hold a non-finite feature")
     per_member = ensemble.value[_descend(ensemble, X)]
     if ensemble.task == REGRESSION:
         per_member = per_member[..., 0]

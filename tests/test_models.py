@@ -1,11 +1,16 @@
 """Tree ensemble against a naive recursive reference, plus uncertainty math.
 
 The reference grows trees with plain recursive code but mirrors the
-production arithmetic operation-for-operation. On integer-valued inputs
-every intermediate (class counts, label sums, squares) is exact in
-float64, so scores, thresholds, leaf values and predictions must agree
-bit-for-bit, not just approximately.
+production arithmetic operation-for-operation. The grower also scales
+regression labels by a power of two before scoring, which the reference
+skips: that scales every score exactly and moves no comparison. On
+integer-valued inputs every intermediate (class counts, sums of labels less
+a node's first) is exact in float64, so thresholds, leaf values and
+predictions must agree bit-for-bit, not just approximately.
 """
+
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import make_classification, make_regression
 from dci_lab import models
-from dci_lab.dataset import one_hot
+from dci_lab.dataset import DataError, one_hot
 from dci_lab.models import (
     CLASSIFICATION,
     REGRESSION,
@@ -47,8 +52,7 @@ def ref_best_split(X, y, task, n_classes, min_leaf):
             )
             tot = cums[-1]
         else:
-            cs = np.cumsum(ys)
-            css = np.cumsum(ys * ys)
+            cs = np.cumsum(ys - y[0])  # labels less the node's first
         for pos in range(n - 1):
             if not xs[pos] < xs[pos + 1]:
                 continue
@@ -64,10 +68,8 @@ def ref_best_split(X, y, task, n_classes, min_leaf):
                     s = s + (cl * cl * inv_nl + cr * cr * inv_nr)
                 s = -s
             else:
-                rs = cs[-1] - cs[pos]
-                s = (css[pos] - cs[pos] * cs[pos] * inv_nl) + (
-                    (css[-1] - css[pos]) - rs * rs * inv_nr
-                )
+                cl, cr = cs[pos], cs[-1] - cs[pos]
+                s = -(cl * cl * inv_nl + cr * cr * inv_nr)
             if best is None or s < best[0]:
                 best = (s, f, pos, xs)
     if best is None:
@@ -281,6 +283,77 @@ class TestTreeOracle:
         assert np.array_equal(tree.value[0], want)
 
 
+def split_rows(tree, X, rows, node=0):
+    """(node, its training rows) for every split node, from the root down."""
+    if tree.feature[node] == _LEAF:
+        return []
+    go_left = X[rows, tree.feature[node]] <= tree.threshold[node]
+    return [(node, rows)] + split_rows(tree, X, rows[go_left], tree.left[node]) + split_rows(
+        tree, X, rows[~go_left], tree.right[node]
+    )
+
+
+def exact_sse(y):
+    mean = Fraction(sum(y), len(y))
+    return sum((v - mean) ** 2 for v in y)
+
+
+class TestRegressionScores:
+    """Regression splits are scored from node-shifted, power-of-two-scaled
+    label sums, so trees do not depend on a label's offset or unit."""
+
+    @given(
+        seed=st.integers(0, 10_000),
+        offset=st.integers(-(10**8), 10**8),
+        exponent=st.integers(-600, 600),
+    )
+    def test_trees_ignore_label_offset_and_unit(self, seed, offset, exponent):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(10, 60)), int(rng.integers(1, 4))
+        X = np.round(rng.normal(size=(n, d)), 1)
+        y = rng.integers(-9, 10, size=n).astype(np.float64)
+        model = ModelConfig(n_trees=2, min_leaf=int(rng.integers(1, 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            base, shifted, scaled = (
+                fit_ensemble(make_regression(X, labels), model, seed) for labels in (y, y + offset, np.ldexp(y, exponent))
+            )
+        for other in (shifted, scaled):
+            for name in ("feature", "threshold", "left", "right"):
+                assert np.array_equal(getattr(other, name), getattr(base, name)), name
+        assert np.array_equal(scaled.value, np.ldexp(base.value, exponent))
+        leaf = base.feature == _LEAF
+        assert np.allclose(shifted.value[leaf] - offset, base.value[leaf], rtol=0.0, atol=1e-7)
+
+    @pytest.mark.parametrize("case", range(5))
+    def test_every_split_minimizes_the_exact_squared_error(self, case):
+        # Exact rational squared errors: each chosen split must reach the
+        # node's minimum over all valid splits (not necessarily the first).
+        X, y, _, model, seed = random_case(1000 * case + 11, REGRESSION)
+        ensemble = fit_ensemble(make_regression(X, y), model, seed)
+        labels = [Fraction(int(v)) for v in y]
+        checked = 0
+        for t, tree in enumerate(ensemble.trees):
+            boot = np.random.default_rng(seed + t).integers(0, len(y), size=len(y))
+            for node, rows in split_rows(tree, X, boot):
+                f, thr = tree.feature[node], tree.threshold[node]
+                left = X[rows, f] <= thr
+                assert model.min_leaf <= left.sum() <= len(rows) - model.min_leaf
+                best = None
+                for g in range(X.shape[1]):
+                    order = rows[np.argsort(X[rows, g], kind="stable")]
+                    xs = X[order, g]
+                    for pos in range(model.min_leaf - 1, len(rows) - model.min_leaf):
+                        if xs[pos] < xs[pos + 1]:
+                            sse = exact_sse([labels[i] for i in order[: pos + 1]])
+                            sse += exact_sse([labels[i] for i in order[pos + 1 :]])
+                            best = sse if best is None else min(best, sse)
+                chosen = exact_sse([labels[i] for i in rows[left]]) + exact_sse([labels[i] for i in rows[~left]])
+                assert chosen == best
+                checked += 1
+        assert checked > 0
+
+
 class TestCommittees:
     """Committees grown in one fit_ensemble call, from lists of pool rows,
     equal each committee fitted alone on its rows with the same seed."""
@@ -463,6 +536,32 @@ class TestEnsembleBehavior:
             ModelConfig(min_leaf=0)
         with pytest.raises(ValueError):
             ModelConfig(max_depth=-1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["label", "feature"])
+    def test_non_finite_training_rows_are_rejected(self, rng, where, bad):
+        X, y = rng.normal(size=(20, 2)), rng.normal(size=20)
+        (y if where == "label" else X[:, 1])[7] = bad
+        ds = make_regression(X, y)
+        with pytest.raises(DataError, match="non-finite"):
+            fit_ensemble(ds, ModelConfig(n_trees=2))
+        with pytest.raises(DataError, match="non-finite"):
+            fit_ensemble(ds, ModelConfig(n_trees=2), rows=[np.arange(5), np.arange(5, 10)])
+        if where == "feature":
+            with pytest.raises(DataError, match="non-finite"):
+                fit_ensemble(make_classification(X, rng.integers(0, 2, size=20)), ModelConfig(n_trees=2))
+        # Only the rows the trees grow on are checked.
+        fit_ensemble(ds, ModelConfig(n_trees=2), rows=[np.arange(5), np.arange(10, 20)])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_prediction_rows_are_rejected(self, rng, bad):
+        X = rng.normal(size=(20, 2))
+        ens = fit_ensemble(make_regression(X.copy(), rng.normal(size=20)), ModelConfig(n_trees=2))
+        X[3, 0] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            predict(ens, X)
+        with pytest.raises(DataError, match="non-finite"):
+            predict(ens, X[3])
 
 
 def binary_pred(probs):
