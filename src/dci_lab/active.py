@@ -233,54 +233,23 @@ def seed_split(config: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndar
     return perm[: config.test_size], perm[config.test_size : n_held], perm[n_held:]
 
 
-# The fixed cost of one predict call, in (tree, row) pairs of descent.
-# Measured on 2 vCPUs with BLAS on 1 thread (best of 30 to 200 calls): 10
-# census trees took 0.095 ms for 5 rows and 4.06 ms for 2600, and 100 wine
-# trees 0.19 ms for 5 rows and 15.9 ms for 1000, about 570 and 700 pairs.
-_PREDICT_CALL_PAIRS = 600
-
-
-def _scores_whole_pool(config: ExperimentConfig, n_unlabelled: int) -> bool:
-    """Whether one predict over the unlabelled pool costs less than a
-    predict of the candidates at each pick of the update."""
-    T, m = config.model.n_trees, min(config.candidate_batch_size, n_unlabelled)
-    return _PREDICT_CALL_PAIRS + n_unlabelled * T < config.additions_per_update * (_PREDICT_CALL_PAIRS + m * T)
-
-
-class _BoundaryModel:
-    """The predictor fitted at an update boundary on the pool rows
-    ``labelled``: the committee ``ensemble``, or None for the kNN model."""
-
-    def __init__(self, config: ExperimentConfig, labelled: np.ndarray, ensemble: TreeEnsemble | None):
-        self.config = config
-        self.labelled = labelled
-        self.ensemble = ensemble
-
-    def _predict(self, rows: np.ndarray, neighbors: np.ndarray | None) -> EnsemblePrediction:
-        """Predictions for the pool rows ``rows``. The kNN model reads them
-        from ``neighbors``, the rows' neighbour lists into the labelled
-        rows, and gathers no features."""
-        ds = self.config.dataset
-        if self.ensemble is not None:
-            return predict(self.ensemble, ds.features[rows])
-        out = knn_from_labels(ds, ds.labels[self.labelled[neighbors]])
-        return EnsemblePrediction(per_member=out[None], aggregate=out, task=self.config.task)
-
-    def uncertainty(
-        self, rows: np.ndarray, kind: str, neighbors: np.ndarray | None = None
-    ) -> np.ndarray:
-        return np.asarray(UNCERTAINTY[kind](self._predict(rows, neighbors)), dtype=np.float64)
-
-    def evaluate(
-        self, rows: np.ndarray, y: np.ndarray, neighbors: np.ndarray | None = None
-    ) -> float:
-        pred = self._predict(rows, neighbors)
-        metric = self.config.metric
-        if metric == "rmse":
-            return rmse(pred.aggregate, y)
-        if metric == "auroc":
-            return auroc(pred.aggregate[:, 1], y)
-        return accuracy(pred.aggregate.argmax(axis=1), y)
+def _predict(
+    config: ExperimentConfig,
+    ensemble: TreeEnsemble | None,
+    labelled: np.ndarray,
+    rows: np.ndarray,
+    neighbors: np.ndarray | None,
+) -> EnsemblePrediction:
+    """Predictions for the pool rows ``rows`` of the model fitted at an
+    update boundary on the pool rows ``labelled``: the committee
+    ``ensemble``, or for the kNN model (``ensemble`` None) the votes of
+    ``neighbors``, the rows' neighbour lists into the labelled rows, which
+    gathers no features."""
+    ds = config.dataset
+    if ensemble is not None:
+        return predict(ensemble, ds.features[rows])
+    out = knn_from_labels(ds, ds.labels[labelled[neighbors]])
+    return EnsemblePrediction(per_member=out[None], aggregate=out, task=config.task)
 
 
 _Lists = tuple[np.ndarray, np.ndarray]
@@ -347,31 +316,37 @@ def _boundary(
     labelled: np.ndarray,
     test: _TestRows,
     test_nbrs: _Lists,
-) -> tuple[_BoundaryModel, float, _Lists]:
+) -> tuple[float, _Lists]:
     """Score the model of one update boundary, fitted on the labelled rows.
 
-    Returns the model, its test metric and the kNN model's test-row lists,
+    Returns its test metric and the kNN model's test-row lists,
     ``test_nbrs`` extended by :func:`_extend_lists`.
     """
-    model = _BoundaryModel(config, labelled, ensemble)
     neighbors = None
     if config.model.kind == "knn":
         test_nbrs = _extend_lists(config, update, test.rows, test.sq, lab_X, lab_sq, test_nbrs)
         neighbors = test_nbrs[0]
-    return model, model.evaluate(test.rows, test.y, neighbors), test_nbrs
+    pred = _predict(config, ensemble, labelled, test.rows, neighbors)
+    if config.metric == "rmse":
+        value = rmse(pred.aggregate, test.y)
+    elif config.metric == "auroc":
+        value = auroc(pred.aggregate[:, 1], test.y)
+    else:
+        value = accuracy(pred.aggregate.argmax(axis=1), test.y)
+    return value, test_nbrs
 
 
 class _SeedStart(NamedTuple):
     """One seed's split and first update boundary, shared by every strategy:
     the squared norms of every pool row, the test rows, the initial labelled
-    rows, the sorted unlabelled pool, and the first boundary's model, metric
-    value and test-row lists."""
+    rows, the sorted unlabelled pool, and the first boundary's committee
+    (None for the kNN model), metric value and test-row lists."""
 
     pool_sq: np.ndarray
     test: _TestRows
     labelled: np.ndarray
     unlabelled: np.ndarray
-    model: _BoundaryModel
+    ensemble: TreeEnsemble | None
     value: float
     test_nbrs: _Lists
 
@@ -386,7 +361,7 @@ def _seed_start(config: ExperimentConfig, seed: int) -> _SeedStart:
         config, 0, ensemble, ds.features[labelled], pool_sq[labelled], labelled, test,
         _no_lists(config.test_size),
     )
-    return _SeedStart(pool_sq, test, labelled, np.sort(rest), *first)
+    return _SeedStart(pool_sq, test, labelled, np.sort(rest), ensemble, *first)
 
 
 def run_experiment(config: ExperimentConfig, seed: int) -> list[LearningCurve]:
@@ -427,21 +402,17 @@ def _curve(
     codes, n_classes = ds.class_codes
     use_pca = strategy.pca_components > 0
     pool_sq = start.pool_sq
-    boundary, value, test_nbrs = start.model, start.value, start.test_nbrs
-    # A kNN model scores the whole unlabelled pool once per update from its
-    # lists into lab_X, carried like the test rows' lists, and a committee
-    # does where that costs less than scoring each pick's candidates; the
-    # scores are aligned with ``unl_rows``, the unlabelled pool at the last
-    # boundary.
-    knn_scores = strategy.tag == MODEL_UNCERTAINTY and config.model.kind == "knn"
+    ensemble, value, test_nbrs = start.ensemble, start.value, start.test_nbrs
+    # A model-uncertainty strategy scores the whole unlabelled pool once per
+    # update and looks each pick's candidates up in the scores, which are
+    # aligned with ``unl_rows``, the unlabelled pool at the last boundary.
+    # The kNN model predicts from the pool's lists into lab_X, carried like
+    # the test rows' lists.
     unl_rows = unlabelled
     unl_nbrs = _no_lists(unl_rows.size)
-    unl_scores = None
 
     def model_score(cands: np.ndarray) -> np.ndarray:
-        if unl_scores is not None:
-            return unl_scores[np.searchsorted(unl_rows, cands)]
-        return boundary.uncertainty(cands, strategy.kind)
+        return unl_scores[np.searchsorted(unl_rows, cands)]
 
     def impurity_score(cands: np.ndarray) -> np.ndarray:
         lab = labelled[:n_lab]
@@ -464,24 +435,24 @@ def _curve(
         lab_sq = pool_sq[labelled[:n_lab]]
         if update:
             ensemble = yield labelled[:n_lab]
-            boundary, value, test_nbrs = _boundary(
+            value, test_nbrs = _boundary(
                 config, update, ensemble, lab_X[:n_lab], lab_sq, labelled[:n_lab], start.test, test_nbrs
             )
         points.append((n_lab, value))
         if update == config.n_updates:
             break
-        if knn_scores:
-            keep = np.searchsorted(unl_rows, unlabelled)
+        if strategy.tag == MODEL_UNCERTAINTY:
+            neighbors = None
+            if config.model.kind == "knn":
+                keep = np.searchsorted(unl_rows, unlabelled)
+                unl_nbrs = _extend_lists(
+                    config, update, unlabelled, pool_sq[unlabelled], lab_X[:n_lab], lab_sq,
+                    (unl_nbrs[0][keep], unl_nbrs[1][keep]),
+                )
+                neighbors = unl_nbrs[0]
             unl_rows = unlabelled
-            unl_nbrs = _extend_lists(
-                config, update, unl_rows, pool_sq[unl_rows], lab_X[:n_lab], lab_sq,
-                (unl_nbrs[0][keep], unl_nbrs[1][keep]),
-            )
-            unl_scores = boundary.uncertainty(unl_rows, strategy.kind, unl_nbrs[0])
-        elif strategy.tag == MODEL_UNCERTAINTY:
-            unl_rows = unlabelled
-            whole = _scores_whole_pool(config, unl_rows.size)
-            unl_scores = boundary.uncertainty(unl_rows, strategy.kind) if whole else None
+            pred = _predict(config, ensemble, labelled[:n_lab], unl_rows, neighbors)
+            unl_scores = UNCERTAINTY[strategy.kind](pred)
         if use_pca:
             n_comp = min(strategy.pca_components, n_lab, ds.n_features)
             pca = pca_fit(lab_X[:n_lab], n_comp)

@@ -288,8 +288,7 @@ def cmd_analyze(cfg: Cfg, out_dir: Path, seed: int) -> None:
             pred = predict(ens, ds.features[test_idx])
             correct = (pred.aggregate.argmax(axis=1) == ds.labels[test_idx]).astype(np.int64)
             for kind in kinds:
-                u = np.asarray(UNCERTAINTY[kind](pred), dtype=np.float64)
-                reports[size, kind].append(decile_analysis(u, correct))
+                reports[size, kind].append(decile_analysis(UNCERTAINTY[kind](pred), correct))
             cells = pool_scores(
                 ds.features[train_idx], codes[train_idx], n_classes, ds.features[test_idx],
                 [params for _, params in dci_cells],
@@ -298,20 +297,6 @@ def cmd_analyze(cfg: Cfg, out_dir: Path, seed: int) -> None:
                 reports[size, label].append(decile_analysis(u, correct))
     for (size, label), collected in reports.items():
         write_decile_csv(out_dir / f"decile_train{size}_{label}.csv", average_reports(collected))
-
-
-def _thread_count(flag: int | None) -> int:
-    if flag is not None:
-        value = flag
-    else:
-        raw = os.environ.get("DCI_LAB_THREADS", "1")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ConfigError(f"DCI_LAB_THREADS must be an integer (got {raw!r})") from None
-    if value < 1:
-        raise ConfigError("thread count must be at least 1")
-    return value
 
 
 def _one_blas_thread() -> None:
@@ -352,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=int,
-            default=None,
-            help="parallel seed runs (default: DCI_LAB_THREADS or 1)",
+            default=1,
+            help="parallel seed runs (default 1)",
         )
     return parser
 
@@ -366,7 +351,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.config is None and args.preset is None:
             raise ConfigError("provide --config, --preset, or both")
         cfg = Cfg(merge_config(args.preset, overrides))
-        threads = _thread_count(args.threads)
+        if args.threads < 1:
+            raise ConfigError("thread count must be at least 1")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "score":
@@ -374,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "grid":
             cmd_grid(cfg, out_dir)
         elif args.command == "simulate":
-            cmd_simulate(cfg, out_dir, args.seed, threads)
+            cmd_simulate(cfg, out_dir, args.seed, args.threads)
         else:
             cmd_analyze(cfg, out_dir, args.seed)
     except ConfigError as exc:

@@ -365,6 +365,8 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
     count = _read_be_u32(img_buf, 4, images_path)
     rows = _read_be_u32(img_buf, 8, images_path)
     cols = _read_be_u32(img_buf, 12, images_path)
+    if count == 0 or rows * cols == 0:
+        raise DataError(f"{images_path}: the file holds no pixels ({count} images of {rows} x {cols})")
     expected = 16 + count * rows * cols
     if len(img_buf) < expected:
         raise DataError(f"{images_path}: truncated file")
@@ -385,7 +387,7 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
 
     features = pixels.reshape(count, rows * cols).astype(np.float64)
     features /= 255.0  # in place: one pool-sized array, not two
-    n_classes = max(10, int(labels.max()) + 1) if count else 10
+    n_classes = max(10, int(labels.max()) + 1)
     specs = tuple(ColumnSpec(f"px{i}", KIND_NUMERIC) for i in range(rows * cols))
     specs = specs + (ColumnSpec("label", KIND_LABEL_CLASS),)
     return Dataset(

@@ -294,15 +294,15 @@ class TestKnnTestLists:
         count of each prediction."""
         seen = []
 
-        def fresh(boundary, rows, neighbors=None):
-            assert neighbors is not None
+        def fresh(cfg, ensemble, labelled, rows, neighbors):
+            assert ensemble is None and neighbors is not None
             seen.append(rows.size)
-            ds = boundary.config.dataset
-            out = knn_predict(ds.select_rows(boundary.labelled), ds.features[rows], boundary.config.model.knn_k)
-            return EnsemblePrediction(per_member=out[None], aggregate=out, task=config.task)
+            ds = cfg.dataset
+            out = knn_predict(ds.select_rows(labelled), ds.features[rows], cfg.model.knn_k)
+            return EnsemblePrediction(per_member=out[None], aggregate=out, task=cfg.task)
 
         with monkeypatch.context() as m:
-            m.setattr(active._BoundaryModel, "_predict", fresh)
+            m.setattr(active, "_predict", fresh)
             curve = run_experiment(config, seed)
         assert seen
         return curve, seen
@@ -513,8 +513,8 @@ class TestSharedStart:
 
 class TestWholePoolScores:
     """A committee strategy scores the whole unlabelled pool once per update
-    where that costs less than a predict call per pick; the scores, and so
-    the picks, must equal per-pick scoring."""
+    and looks each pick's candidates up; the scores, and so the picks, must
+    equal a predict of the candidates alone."""
 
     @staticmethod
     def pool(rng, kind, n=300):
@@ -538,9 +538,11 @@ class TestWholePoolScores:
                 cands = np.sort(rng.choice(ds.n_rows, size=m, replace=False))
                 assert np.array_equal(score(models.predict(ensemble, ds.features[cands])), whole[cands])
 
-    @pytest.mark.parametrize("additions, whole", [(1, False), (40, True)], ids=["per_pick", "whole_pool"])
+    # per_pick: a boundary after every pick; whole_pool: 40 picks looked up
+    # in one scoring of the pool.
+    @pytest.mark.parametrize("additions", [1, 40], ids=["per_pick", "whole_pool"])
     @pytest.mark.parametrize("kind", sorted(models.UNCERTAINTY))
-    def test_curves_equal_per_pick_scoring(self, rng, monkeypatch, kind, additions, whole):
+    def test_curves_equal_per_pick_scoring(self, rng, monkeypatch, kind, additions):
         config = ExperimentConfig(
             dataset=self.pool(rng, kind),
             strategies=(Strategy(tag="model-uncertainty", kind=kind), Strategy(tag="random")),
@@ -552,18 +554,30 @@ class TestWholePoolScores:
             n_seeds=2,
             test_size=50,
         )
-        chosen = []
-        rule = active._scores_whole_pool
+        features, uncertainty = config.dataset.features, models.UNCERTAINTY[kind]
+        # The strategies move through each boundary in turn, so the last
+        # committee predicted with is the one the uncertainty picks score with.
+        committees = []
+        checked = []
+        boundary_predict, select = active._predict, active.select_next
 
-        def spy(*args):
-            chosen.append(rule(*args))
-            return chosen[-1]
+        def capture(cfg, ensemble, *args):
+            committees.append(ensemble)
+            return boundary_predict(cfg, ensemble, *args)
 
-        monkeypatch.setattr(active, "_scores_whole_pool", spy)
-        curves = run_many(config, base_seed=4)
-        assert chosen == [whole] * (config.n_seeds * config.n_updates)
-        monkeypatch.setattr(active, "_scores_whole_pool", lambda *args: False)
-        assert run_many(config, base_seed=4) == curves
+        def oracle_select(unlabelled, batch_size, rng, score=None):
+            def oracle(cands):
+                got = score(cands)
+                assert np.array_equal(got, uncertainty(models.predict(committees[-1], features[cands])))
+                checked.append(cands.size)
+                return got
+
+            return select(unlabelled, batch_size, rng, oracle if score else None)
+
+        monkeypatch.setattr(active, "_predict", capture)
+        monkeypatch.setattr(active, "select_next", oracle_select)
+        run_many(config, base_seed=4)
+        assert checked == [config.candidate_batch_size] * (config.n_seeds * config.n_updates * additions)
 
 
 class TestModelConfig:

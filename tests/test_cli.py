@@ -554,6 +554,11 @@ class TestErrorPaths:
         assert main(["score"]) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_thread_count_below_one_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", **base_pairs())
+        assert main(["simulate", "--config", cfg, "--threads", "0", "--out", str(tmp_path)]) == 2
+        assert "config error: thread count must be at least 1" in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", **{"data.vintage": "1999"})
         assert main(["score", "--config", cfg]) == 2
@@ -578,6 +583,24 @@ class TestErrorPaths:
             },
         )
         assert main(["score", "--config", cfg, "--out", str(tmp_path)]) == 3
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (3, 0, 2), (3, 2, 0)])
+    def test_idx_pair_without_pixels_is_a_data_error(self, tmp_path, capsys, shape):
+        write_idx(np.zeros(shape, dtype=np.uint8), np.zeros(shape[0]), tmp_path / "i.idx", tmp_path / "l.idx")
+        qpath = tmp_path / "q.csv"
+        qpath.write_text("px0\n")
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            **{
+                "data.source": "idx",
+                "data.images": str(tmp_path / "i.idx"),
+                "data.labels": str(tmp_path / "l.idx"),
+                "score.query": str(qpath),
+            },
+        )
+        assert main(["score", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "i.idx: the file holds no pixels" in capsys.readouterr().err
+        assert not (tmp_path / "scores.csv").exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf"])
     def test_non_finite_pool_cell_is_a_data_error(self, tmp_path, capsys, bad):

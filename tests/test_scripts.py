@@ -61,13 +61,3 @@ def test_field_sweep(tmp_path):
     lines = (out / "field_a1_b1.2.csv").read_text().splitlines()
     assert lines[0] == "x,y,dci" and len(lines) == 1 + 12 * 12
 
-
-def test_selection_benchmark(tmp_path):
-    result = run_script(
-        "selection_benchmark.py", "--pool", "census", "--n", "600", "--seeds", "1", cwd=tmp_path
-    )
-    check(result)
-    lines = result.stdout.splitlines()
-    assert lines[0].startswith("census: 600 rows, metric auroc")
-    assert [line.split()[0] for line in lines[1:]] == ["random", "dci-high", "dci-low"]
-    assert list(tmp_path.iterdir()) == []
