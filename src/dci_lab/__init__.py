@@ -23,13 +23,11 @@ from dci_lab.dataset import (
     pca_fit,
     pca_project,
     read_colspec,
-    standardize,
     write_idx,
 )
 from dci_lab.neighbors import NeighborSet, knn, nearest_neighbors
-from dci_lab.dci import DciParams, GridSpec, dci_field, dci_score, dci_scores, pool_scores
+from dci_lab.dci import DciParams, GridSpec, dci_field, dci_scores, pool_scores
 from dci_lab.models import (
-    EnsemblePrediction,
     ModelConfig,
     TreeEnsemble,
     ensemble_binary_uncertainty,
@@ -64,7 +62,6 @@ __all__ = [
     "pca_fit",
     "pca_project",
     "read_colspec",
-    "standardize",
     "write_idx",
     "NeighborSet",
     "knn",
@@ -72,10 +69,8 @@ __all__ = [
     "DciParams",
     "GridSpec",
     "dci_field",
-    "dci_score",
     "dci_scores",
     "pool_scores",
-    "EnsemblePrediction",
     "ModelConfig",
     "TreeEnsemble",
     "ensemble_binary_uncertainty",

@@ -24,9 +24,7 @@ from .dci import DciParams, pool_scores
 from .metrics import accuracy, auroc, rmse
 from .neighbors import _sq_norms, extend_neighbors
 from .models import (
-    CLASSIFICATION,
     UNCERTAINTY,
-    EnsemblePrediction,
     ModelConfig,
     TreeEnsemble,
     fit_ensemble,
@@ -156,10 +154,6 @@ class ExperimentConfig:
             if strategy.tag == MODEL_UNCERTAINTY:
                 check_uncertainty(strategy.kind, ds, self.model)
 
-    @property
-    def task(self) -> str:
-        return CLASSIFICATION if self.dataset.is_classification else "regression"
-
 
 @dataclass(frozen=True)
 class LearningCurve:
@@ -239,17 +233,16 @@ def _predict(
     labelled: np.ndarray,
     rows: np.ndarray,
     neighbors: np.ndarray | None,
-) -> EnsemblePrediction:
-    """Predictions for the pool rows ``rows`` of the model fitted at an
-    update boundary on the pool rows ``labelled``: the committee
-    ``ensemble``, or for the kNN model (``ensemble`` None) the votes of
-    ``neighbors``, the rows' neighbour lists into the labelled rows, which
-    gathers no features."""
+) -> np.ndarray:
+    """Per-member predictions, as :func:`predict` returns them, for the pool
+    rows ``rows`` of the model fitted at an update boundary on the pool rows
+    ``labelled``: the committee ``ensemble``, or for the kNN model
+    (``ensemble`` None) the votes of ``neighbors``, the rows' neighbour lists
+    into the labelled rows, as one member; this gathers no features."""
     ds = config.dataset
     if ensemble is not None:
         return predict(ensemble, ds.features[rows])
-    out = knn_from_labels(ds, ds.labels[labelled[neighbors]])
-    return EnsemblePrediction(per_member=out[None], aggregate=out, task=config.task)
+    return knn_from_labels(ds, ds.labels[labelled[neighbors]])[None]
 
 
 _Lists = tuple[np.ndarray, np.ndarray]
@@ -326,13 +319,13 @@ def _boundary(
     if config.model.kind == "knn":
         test_nbrs = _extend_lists(config, update, test.rows, test.sq, lab_X, lab_sq, test_nbrs)
         neighbors = test_nbrs[0]
-    pred = _predict(config, ensemble, labelled, test.rows, neighbors)
+    mean = _predict(config, ensemble, labelled, test.rows, neighbors).mean(axis=0)
     if config.metric == "rmse":
-        value = rmse(pred.aggregate, test.y)
+        value = rmse(mean, test.y)
     elif config.metric == "auroc":
-        value = auroc(pred.aggregate[:, 1], test.y)
+        value = auroc(mean[:, 1], test.y)
     else:
-        value = accuracy(pred.aggregate.argmax(axis=1), test.y)
+        value = accuracy(mean.argmax(axis=1), test.y)
     return value, test_nbrs
 
 
@@ -451,8 +444,9 @@ def _curve(
                 )
                 neighbors = unl_nbrs[0]
             unl_rows = unlabelled
-            pred = _predict(config, ensemble, labelled[:n_lab], unl_rows, neighbors)
-            unl_scores = UNCERTAINTY[strategy.kind](pred)
+            unl_scores = UNCERTAINTY[strategy.kind](
+                _predict(config, ensemble, labelled[:n_lab], unl_rows, neighbors)
+            )
         if use_pca:
             n_comp = min(strategy.pca_components, n_lab, ds.n_features)
             pca = pca_fit(lab_X[:n_lab], n_comp)

@@ -111,13 +111,19 @@ def _build_raw_dataset(cfg: Cfg) -> Dataset:
         return load_idx(cfg.str("data.images"), cfg.str("data.labels"))
     name = cfg.str("data.name", choices=("census", "wine", "three-class", "digits"))
     seed = cfg.int("data.seed", 0)
+    n = cfg.int("data.n", {"census": 10000, "wine": 1599, "three-class": 300, "digits": 600}[name])
+    if seed < 0:
+        raise ConfigError("data.seed must be non-negative")
+    least = 3 if name == "three-class" else 1  # three-class draws n // 3 rows per class
+    if n < least:
+        raise ConfigError(f"data.n must be at least {least} for {name}")
     if name == "census":
-        return synthetic.census_income(cfg.int("data.n", 10000), seed)
+        return synthetic.census_income(n, seed)
     if name == "wine":
-        return synthetic.wine_quality(cfg.int("data.n", 1599), seed)
+        return synthetic.wine_quality(n, seed)
     if name == "three-class":
-        return synthetic.three_class_points(cfg.int("data.n", 300) // 3, seed)
-    return synthetic.digits_dataset(cfg.int("data.n", 600), seed)
+        return synthetic.three_class_points(n // 3, seed)
+    return synthetic.digits_dataset(n, seed)
 
 
 def prepare_dataset(cfg: Cfg) -> tuple[Dataset, tuple[np.ndarray, np.ndarray] | None]:
@@ -131,7 +137,10 @@ def prepare_dataset(cfg: Cfg) -> tuple[Dataset, tuple[np.ndarray, np.ndarray] | 
     if sub:
         if not 1 <= sub <= ds.n_rows:
             raise ConfigError(f"data.subsample must be in [1, {ds.n_rows}]")
-        rng = np.random.default_rng(cfg.int("data.subsample_seed", 0))
+        sub_seed = cfg.int("data.subsample_seed", 0)
+        if sub_seed < 0:
+            raise ConfigError("data.subsample_seed must be non-negative")
+        rng = np.random.default_rng(sub_seed)
         ds = ds.select_rows(np.sort(rng.permutation(ds.n_rows)[:sub]))
     if cfg.bool("data.one_hot", True):
         ds = one_hot(ds)
@@ -285,10 +294,10 @@ def cmd_analyze(cfg: Cfg, out_dir: Path, seed: int) -> None:
             train_idx = perm[:size]
             end = size + test_size if test_size else ds.n_rows
             test_idx = perm[size:end]
-            pred = predict(ens, ds.features[test_idx])
-            correct = (pred.aggregate.argmax(axis=1) == ds.labels[test_idx]).astype(np.int64)
+            per_member = predict(ens, ds.features[test_idx])
+            correct = (per_member.mean(axis=0).argmax(axis=1) == ds.labels[test_idx]).astype(np.int64)
             for kind in kinds:
-                reports[size, kind].append(decile_analysis(UNCERTAINTY[kind](pred), correct))
+                reports[size, kind].append(decile_analysis(UNCERTAINTY[kind](per_member), correct))
             cells = pool_scores(
                 ds.features[train_idx], codes[train_idx], n_classes, ds.features[test_idx],
                 [params for _, params in dci_cells],
@@ -353,6 +362,8 @@ def main(argv: list[str] | None = None) -> int:
         cfg = Cfg(merge_config(args.preset, overrides))
         if args.threads < 1:
             raise ConfigError("thread count must be at least 1")
+        if args.seed < 0:
+            raise ConfigError("seed must be non-negative")
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "score":

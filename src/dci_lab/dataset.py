@@ -12,7 +12,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -23,7 +23,7 @@ KIND_LABEL_NUMERIC = "label_numeric"
 COLUMN_KINDS = (KIND_NUMERIC, KIND_CATEGORICAL, KIND_LABEL_CLASS, KIND_LABEL_NUMERIC)
 LABEL_KINDS = (KIND_LABEL_CLASS, KIND_LABEL_NUMERIC)
 
-DEFAULT_MISSING_TOKENS = ("?", "")
+MISSING_TOKENS = ("?", "")
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -162,17 +162,14 @@ class Dataset:
 
 @dataclass(frozen=True)
 class PcaModel:
-    """Centering vector, orthonormal component rows and per-component variance ratios.
+    """Centering vector, component rows and per-component variance ratios.
 
-    ``rank_deficient`` is set when more components were requested than the
-    data's rank supports; the trailing ratios are then zero and the trailing
-    component rows are an arbitrary orthonormal completion.
+    Components past the data's rank have ratio zero, so they project to zero.
     """
 
     mean: np.ndarray
     components: np.ndarray
     explained_variance_ratio: np.ndarray
-    rank_deficient: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mean", _readonly(np.asarray(self.mean, dtype=np.float64)))
@@ -184,10 +181,6 @@ class PcaModel:
             "explained_variance_ratio",
             _readonly(np.asarray(self.explained_variance_ratio, dtype=np.float64)),
         )
-
-    @property
-    def n_components(self) -> int:
-        return self.components.shape[0]
 
     @property
     def input_dim(self) -> int:
@@ -222,34 +215,18 @@ def read_colspec(path: str | Path) -> list[ColumnSpec]:
     return specs
 
 
-def load_csv(
-    path: str | Path,
-    specs: Sequence[ColumnSpec],
-    missing_tokens: Iterable[str] = DEFAULT_MISSING_TOKENS,
-    categories: Mapping[str, Sequence[str]] | None = None,
-    class_names: Sequence[str] | None = None,
-) -> Dataset:
+def load_csv(path: str | Path, specs: Sequence[ColumnSpec]) -> Dataset:
     """Load a comma-separated UTF-8 file with a header row.
 
-    Rows containing any missing-value token (after stripping surrounding
-    whitespace from each cell) are dropped. Categorical cells map to indices
-    in first-seen order; pass ``categories``/``class_names`` from a previous
-    load to reuse its vocabularies, in which case unseen tokens are an error.
+    Rows containing a missing-value token ("?" or an empty cell, after
+    stripping surrounding whitespace from each cell) are dropped.
+    Categorical cells map to indices in first-seen order.
     """
     spec_by_name = {s.name: s for s in specs}
     if len(spec_by_name) != len(specs):
         raise DataError("duplicate column names in specs")
-    missing = {t for t in missing_tokens}
     cat_maps: dict[str, dict[str, int]] = {}
-    frozen_cats = set()
-    if categories:
-        for name, toks in categories.items():
-            cat_maps[name] = {t: i for i, t in enumerate(toks)}
-            frozen_cats.add(name)
     label_map: dict[str, int] = {}
-    frozen_labels = class_names is not None
-    if class_names is not None:
-        label_map = {t: i for i, t in enumerate(class_names)}
 
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -257,9 +234,11 @@ def load_csv(
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        for name in header:
+        for i, name in enumerate(header):
             if name not in spec_by_name:
                 raise DataError(f"{path}: unknown column {name!r}")
+            if name in header[:i]:
+                raise DataError(f"{path}: column {name!r} appears twice in the header")
         for name in spec_by_name:
             if name not in header:
                 raise DataError(f"{path}: column {name!r} missing from header")
@@ -276,7 +255,7 @@ def load_csv(
             if len(record) != len(header):
                 raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
             cells = [c.strip() for c in record]
-            if any(c in missing for c in cells):
+            if any(c in MISSING_TOKENS for c in cells):
                 continue
             row: list[float] = []
             for i in feature_positions:
@@ -298,14 +277,7 @@ def load_csv(
                     row.append(value)
                 else:
                     cmap = cat_maps.setdefault(spec.name, {})
-                    if cell not in cmap:
-                        if spec.name in frozen_cats:
-                            raise DataError(
-                                f"{path}:{lineno}: category {cell!r} not in the "
-                                f"shared vocabulary of column {spec.name!r}"
-                            )
-                        cmap[cell] = len(cmap)
-                    row.append(float(cmap[cell]))
+                    row.append(float(cmap.setdefault(cell, len(cmap))))
             cell = cells[label_pos]
             if label_kind == KIND_LABEL_NUMERIC:
                 try:
@@ -318,11 +290,7 @@ def load_csv(
                     raise DataError(f"{path}:{lineno}: non-finite value {cell!r} in label column")
                 lab_rows.append(value)
             else:
-                if cell not in label_map:
-                    if frozen_labels:
-                        raise DataError(f"{path}:{lineno}: unknown class {cell!r}")
-                    label_map[cell] = len(label_map)
-                lab_rows.append(float(label_map[cell]))
+                lab_rows.append(float(label_map.setdefault(cell, len(label_map))))
             rows.append(row)
 
     if not rows:
@@ -333,7 +301,7 @@ def load_csv(
     out_class_names = None
     labels: np.ndarray
     if label_kind == KIND_LABEL_CLASS:
-        out_class_names = tuple(class_names) if frozen_labels else tuple(label_map)
+        out_class_names = tuple(label_map)
         labels = np.asarray(lab_rows, dtype=np.int64)
     else:
         labels = np.asarray(lab_rows, dtype=np.float64)
@@ -504,19 +472,6 @@ def apply_standardization(ds: Dataset, stats: tuple[np.ndarray, np.ndarray]) -> 
     )
 
 
-def standardize(
-    ds: Dataset,
-    stats_from: Sequence[int] | np.ndarray,
-    include_onehot: bool = False,
-) -> Dataset:
-    """Z-score numeric columns using mean/population-std over ``stats_from`` rows.
-
-    Constant columns map to all-zero. One-hot indicator columns are left as
-    0/1 unless ``include_onehot`` is set.
-    """
-    return apply_standardization(ds, standardization_stats(ds, stats_from, include_onehot))
-
-
 def pca_fit(X: np.ndarray, n_components: int) -> PcaModel:
     """Top eigenvectors of the covariance of centered ``X`` with variance ratios.
 
@@ -569,7 +524,6 @@ def pca_fit(X: np.ndarray, n_components: int) -> PcaModel:
         mean=mean,
         components=components,
         explained_variance_ratio=ratios,
-        rank_deficient=n_components > rank,
     )
 
 

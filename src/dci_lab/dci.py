@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import DataError, Dataset
-from .neighbors import NeighborSet, nearest_neighbors
+from .neighbors import nearest_neighbors
 
 DEFAULT_EPSILON = 1e-12
 # Float64 cells per block of per-class weight sums in dci_scores (512 KB).
@@ -178,25 +178,6 @@ def pool_scores(
     idx, dist = nearest_neighbors(queries, features, ks.pop(), q_sq=q_sq, ref_sq=ref_sq)
     labels = codes[idx]
     return [dci_scores(labels, dist, n_classes, p) for p in params]
-
-
-def dci_score(
-    neighbors: NeighborSet,
-    params: DciParams = DciParams(),
-    class_count: int | None = None,
-) -> float | np.ndarray:
-    """Impurity score of a point (or batch of points) from its neighbour set.
-
-    ``class_count`` bounds the label ids; it defaults to max label + 1,
-    which gives the same score since the minimum is only ever attained by a
-    class present among the neighbours.
-    """
-    labels = np.atleast_2d(np.asarray(neighbors.labels))
-    dists = np.atleast_2d(neighbors.distances)
-    if class_count is None:
-        class_count = int(np.max(labels)) + 1
-    out = dci_scores(labels, dists, class_count, params)
-    return float(out[0]) if not neighbors.is_batch else out
 
 
 def dci_field(

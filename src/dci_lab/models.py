@@ -116,38 +116,6 @@ class TreeEnsemble:
         ]
 
 
-@dataclass(frozen=True)
-class EnsemblePrediction:
-    """Per-member predictions plus their mean.
-
-    Classification: per_member has shape (members, classes) for one query or
-    (members, n, classes) for a batch. Regression: (members,) or
-    (members, n). ``aggregate`` is the mean over the member axis.
-    """
-
-    per_member: np.ndarray
-    aggregate: np.ndarray
-    task: str
-
-    def __post_init__(self) -> None:
-        pm = np.asarray(self.per_member, dtype=np.float64)
-        if self.task not in (CLASSIFICATION, REGRESSION):
-            raise ValueError(f"unknown task {self.task!r}")
-        if self.task == CLASSIFICATION:
-            if pm.ndim not in (2, 3):
-                raise ValueError("classification per_member must be (M, C) or (M, n, C)")
-            if np.any(np.abs(pm.sum(axis=-1) - 1.0) > 1e-9):
-                raise ValueError("member probability rows must sum to 1")
-        elif pm.ndim not in (1, 2):
-            raise ValueError("regression per_member must be (M,) or (M, n)")
-        object.__setattr__(self, "per_member", pm)
-        object.__setattr__(self, "aggregate", np.asarray(self.aggregate, dtype=np.float64))
-
-    @property
-    def n_members(self) -> int:
-        return self.per_member.shape[0]
-
-
 # Sort-path split searches run on batches of nodes of similar size, padded
 # to the widest; a batch holds at most this many (node, sort-path column,
 # row) cells unless one node alone needs more. Two-valued columns take the
@@ -450,12 +418,10 @@ def _descend(ensemble: TreeEnsemble, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def predict(ensemble: TreeEnsemble, X: np.ndarray) -> EnsemblePrediction:
-    """Per-member predictions for a single row (1-d) or a batch (2-d)."""
+def predict(ensemble: TreeEnsemble, X: np.ndarray) -> np.ndarray:
+    """Per-member predictions for a batch of rows: (members, n, classes) in
+    classification, (members, n) in regression."""
     X = np.asarray(X, dtype=np.float64)
-    single = X.ndim == 1
-    if single:
-        X = X[None, :]
     if X.ndim != 2 or X.shape[1] != ensemble.n_features:
         raise ValueError(
             f"expected {ensemble.n_features} feature columns, got shape {X.shape}"
@@ -463,65 +429,51 @@ def predict(ensemble: TreeEnsemble, X: np.ndarray) -> EnsemblePrediction:
     if not np.isfinite(X).all():
         raise DataError("prediction rows hold a non-finite feature")
     per_member = ensemble.value[_descend(ensemble, X)]
-    if ensemble.task == REGRESSION:
-        per_member = per_member[..., 0]
-    if single:
-        per_member = per_member[:, 0]
-    return EnsemblePrediction(
-        per_member=per_member,
-        aggregate=per_member.mean(axis=0),
-        task=ensemble.task,
-    )
+    return per_member[..., 0] if ensemble.task == REGRESSION else per_member
 
 
-def _require(pred: EnsemblePrediction, task: str, caller: str) -> None:
-    if pred.task != task:
-        raise ValueError(f"{caller} requires a {task} prediction")
-
-
-def ensemble_binary_uncertainty(pred: EnsemblePrediction) -> float | np.ndarray:
+def ensemble_binary_uncertainty(per_member: np.ndarray) -> np.ndarray:
     """Negative mean member distance from probability 0.5; maximum is 0.
 
     Defined for binary classification only; the value is 0 exactly when
     every member outputs 0.5 and falls to -0.5 for unanimous hard votes.
     """
-    _require(pred, CLASSIFICATION, "ensemble_binary_uncertainty")
-    if pred.per_member.shape[-1] != 2:
+    if per_member.ndim != 3:
+        raise ValueError("ensemble_binary_uncertainty requires (members, n, classes) probabilities")
+    if per_member.shape[-1] != 2:
         raise ValueError("binary uncertainty requires exactly 2 classes")
-    p = pred.per_member[..., 1]
-    out = -np.abs(0.5 - p).mean(axis=0) + 0.0
-    return float(out) if out.ndim == 0 else out
+    return -np.abs(0.5 - per_member[..., 1]).mean(axis=0) + 0.0
 
 
-def regression_std_uncertainty(pred: EnsemblePrediction) -> float | np.ndarray:
+def regression_std_uncertainty(per_member: np.ndarray) -> np.ndarray:
     """Population standard deviation of member predictions.
 
     Members are shifted by the first member before the two-pass variance so
     unanimous ensembles give exactly 0.
     """
-    _require(pred, REGRESSION, "regression_std_uncertainty")
-    d = pred.per_member - pred.per_member[0]
+    if per_member.ndim != 2:
+        raise ValueError("regression_std_uncertainty requires (members, n) predictions")
+    d = per_member - per_member[0]
     m = d.mean(axis=0)
-    out = np.sqrt(((d - m) ** 2).mean(axis=0))
-    return float(out) if out.ndim == 0 else out
+    return np.sqrt(((d - m) ** 2).mean(axis=0))
 
 
-def max_prob_uncertainty(pred: EnsemblePrediction) -> float | np.ndarray:
-    """One minus the aggregate probability of the predicted class."""
-    _require(pred, CLASSIFICATION, "max_prob_uncertainty")
-    out = 1.0 - np.asarray(pred.aggregate).max(axis=-1)
-    return float(out) if out.ndim == 0 else out
+def max_prob_uncertainty(per_member: np.ndarray) -> np.ndarray:
+    """One minus the member-mean probability of the predicted class."""
+    if per_member.ndim != 3:
+        raise ValueError("max_prob_uncertainty requires (members, n, classes) probabilities")
+    return 1.0 - per_member.mean(axis=0).max(axis=-1)
 
 
-def mean_std_uncertainty(pred: EnsemblePrediction) -> float | np.ndarray:
+def mean_std_uncertainty(per_member: np.ndarray) -> np.ndarray:
     """Mean over classes of the population std of member probabilities."""
-    _require(pred, CLASSIFICATION, "mean_std_uncertainty")
-    if pred.n_members < 2:
+    if per_member.ndim != 3:
+        raise ValueError("mean_std_uncertainty requires (members, n, classes) probabilities")
+    if per_member.shape[0] < 2:
         raise ValueError("mean_std_uncertainty requires at least 2 members")
-    d = pred.per_member - pred.per_member[0]
+    d = per_member - per_member[0]
     m = d.mean(axis=0)
-    out = np.sqrt(((d - m) ** 2).mean(axis=0)).mean(axis=-1)
-    return float(out) if out.ndim == 0 else out
+    return np.sqrt(((d - m) ** 2).mean(axis=0)).mean(axis=-1)
 
 
 # Uncertainty kind -> scoring function. It stays a plain module-level dict:

@@ -21,7 +21,7 @@ from dci_lab.active import (
     write_summary_csv,
 )
 from dci_lab.dci import DciParams, pool_scores
-from dci_lab.models import EnsemblePrediction, fit_ensemble, knn_predict
+from dci_lab.models import fit_ensemble, knn_predict
 
 
 def two_blob_dataset(rng, n_per=40, gap=8.0):
@@ -298,8 +298,7 @@ class TestKnnTestLists:
             assert ensemble is None and neighbors is not None
             seen.append(rows.size)
             ds = cfg.dataset
-            out = knn_predict(ds.select_rows(labelled), ds.features[rows], cfg.model.knn_k)
-            return EnsemblePrediction(per_member=out[None], aggregate=out, task=cfg.task)
+            return knn_predict(ds.select_rows(labelled), ds.features[rows], cfg.model.knn_k)[None]
 
         with monkeypatch.context() as m:
             m.setattr(active, "_predict", fresh)

@@ -520,6 +520,14 @@ class TestConfigRanges:
             ("analyze", {"analyze.kinds": "entropy"}),
             ("analyze", {"model.max_depth": "-1"}),
             ("simulate", {"model.kind": "ensemble", "model.max_depth": "-1"}),
+            ("simulate", {"data.seed": "-3"}),
+            ("analyze", {"data.seed": "-3"}),
+            ("simulate", {"data.subsample": "40", "data.subsample_seed": "-1"}),
+            ("simulate", {"data.name": "census", "data.n": "0"}),
+            ("simulate", {"data.n": "0"}),
+            ("simulate", {"data.n": "-5"}),
+            ("simulate", {"data.n": "2"}),
+            ("analyze", {"data.n": "2"}),
         ],
     )
     def test_out_of_range_is_a_config_error(self, tmp_path, capsys, command, pairs):
@@ -558,6 +566,29 @@ class TestErrorPaths:
         cfg = write_cfg(tmp_path / "c.cfg", **base_pairs())
         assert main(["simulate", "--config", cfg, "--threads", "0", "--out", str(tmp_path)]) == 2
         assert "config error: thread count must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "analyze"])
+    def test_negative_seed_is_a_config_error(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path / "c.cfg", **(SIM_PAIRS if command == "simulate" else ANALYZE_PAIRS))
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--seed", "-1", "--out", str(out)]) == 2
+        assert "config error: seed must be non-negative" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_csv_header_name_is_a_data_error(self, tmp_path, capsys):
+        spec = tmp_path / "c.spec"
+        spec.write_text("age = numeric\njob = categorical\nincome = label_class\n")
+        data = tmp_path / "d.csv"
+        data.write_text("age,age,job,income\n30,31,clerk,low\n40,41,teacher,high\n")
+        qpath = tmp_path / "q.csv"
+        qpath.write_text("age\n35\n")
+        cfg = write_cfg(
+            tmp_path / "c.cfg",
+            **{"data.source": "csv", "data.csv": str(data), "data.colspec": str(spec), "score.query": str(qpath)},
+        )
+        assert main(["score", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "column 'age' appears twice in the header" in capsys.readouterr().err
+        assert not (tmp_path / "scores.csv").exists()
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.cfg", **{"data.vintage": "1999"})

@@ -203,6 +203,6 @@ class TestAdultPreset:
         assert uncertainty != curve("random")
         # A constant score hands every pick to the lowest candidate index.
         monkeypatch.setitem(
-            models.UNCERTAINTY, "eq3_binary", lambda pred: np.zeros(pred.aggregate.shape[0])
+            models.UNCERTAINTY, "eq3_binary", lambda per_member: np.zeros(per_member.shape[1])
         )
         assert uncertainty != curve("uncertainty-eq3_binary")

@@ -14,12 +14,11 @@ from dci_lab.dci import (
     DciParams,
     GridSpec,
     dci_field,
-    dci_score,
     dci_scores,
     pool_scores,
     write_field_csv,
 )
-from dci_lab.neighbors import NeighborSet, _sq_norms, knn, nearest_neighbors
+from dci_lab.neighbors import _sq_norms, knn, nearest_neighbors
 
 
 def naive_dci(labels, distances, n_classes, params):
@@ -227,30 +226,6 @@ class TestDciScores:
             dci_scores(np.array([[0, 1, 0]]), np.array(distances), 2, params)
 
 
-class TestDciScore:
-    def test_neighbor_set_scalar_and_default_class_count(self, rng):
-        labels, distances, n_classes = random_neighborhood(rng)
-        ns = NeighborSet(
-            distances=distances, labels=labels, indices=np.arange(len(labels))
-        )
-        got = dci_score(ns)
-        assert isinstance(got, float)
-        assert got == pytest.approx(
-            naive_dci(labels, distances, n_classes, DciParams()), rel=1e-12
-        )
-        # Supplying extra absent classes cannot change the minimum.
-        assert dci_score(ns, class_count=n_classes + 3) == got
-
-    def test_batch_neighbor_set_returns_array(self, rng):
-        labels = rng.integers(0, 3, size=(5, 7))
-        distances = rng.uniform(0.1, 2.0, size=(5, 7))
-        ns = NeighborSet(
-            distances=distances, labels=labels, indices=np.tile(np.arange(7), (5, 1))
-        )
-        got = dci_score(ns)
-        assert got.shape == (5,)
-
-
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -295,7 +270,7 @@ class TestGrid:
         for iy in (0, 2, 4):
             for ix in (1, 3):
                 ns = knn(ds, np.array([xs[ix], ys[iy]]), 7)
-                assert field[iy, ix] == dci_score(ns, params, class_count=2)
+                assert field[iy, ix] == dci_scores(ns.labels[None], ns.distances[None], 2, params)[0]
 
     def test_field_clamps_k_to_pool(self, rng):
         ds = make_classification(rng.normal(size=(3, 2)), [0, 1, 0])

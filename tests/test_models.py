@@ -23,10 +23,10 @@ from dci_lab.dataset import DataError, one_hot
 from dci_lab.models import (
     CLASSIFICATION,
     REGRESSION,
-    EnsemblePrediction,
     ModelConfig,
     ensemble_binary_uncertainty,
     fit_ensemble,
+    knn_from_labels,
     knn_predict,
     max_prob_uncertainty,
     mean_std_uncertainty,
@@ -161,7 +161,7 @@ class TestTreeOracle:
             ds = make_regression(X, y)
         ensemble = fit_ensemble(ds, model, seed)
         queries = np.random.default_rng(case).uniform(-1.0, 8.0, size=(25, X.shape[1]))
-        per_member = predict(ensemble, queries).per_member
+        per_member = predict(ensemble, queries)
         for t, tree in enumerate(ensemble.trees):
             boot = np.random.default_rng(seed + t).integers(0, len(y), size=len(y))
             ref = ref_grow(X[boot], y[boot], task, n_classes, model)
@@ -448,13 +448,13 @@ class TestDescent:
     def test_members_equal_reference_walks(self, fitted, cells, monkeypatch):
         monkeypatch.setattr(models, "_DESCENT_CELLS", cells)
         ensemble, refs, queries = fitted
-        per_member = predict(ensemble, queries).per_member
+        per_member = predict(ensemble, queries)
         for t, ref in enumerate(refs):
             want = np.stack([ref_apply_row(ref, q) for q in queries])
             assert np.array_equal(per_member[t], want if ensemble.task == CLASSIFICATION else want[:, 0])
-        assert predict(ensemble, queries[:0]).per_member.shape == (len(refs), 0) + per_member.shape[2:]
-        assert np.array_equal(predict(ensemble, queries[:1]).per_member, per_member[:, :1])
-        assert np.array_equal(predict(ensemble, queries[5]).per_member, per_member[:, 5])
+        assert predict(ensemble, queries[:0]).shape == (len(refs), 0) + per_member.shape[2:]
+        assert np.array_equal(predict(ensemble, queries[:1]), per_member[:, :1])
+        assert np.array_equal(predict(ensemble, queries[5:6]), per_member[:, 5:6])
 
 
 class TestEnsembleBehavior:
@@ -465,8 +465,8 @@ class TestEnsembleBehavior:
             rng.normal(size=(30, 2)), np.zeros(30, dtype=np.int64), class_names=["only"]
         )
         ensemble = fit_ensemble(ds, ModelConfig(n_trees=1, max_depth=0))
-        pred = predict(ensemble, rng.normal(size=(5, 2)))
-        assert np.array_equal(pred.aggregate, np.ones((5, 1)))
+        per_member = predict(ensemble, rng.normal(size=(5, 2)))
+        assert np.array_equal(per_member.mean(axis=0), np.ones((5, 1)))
 
     def test_depth_zero_leaf_holds_its_bootstrap_distribution(self, rng):
         y = rng.integers(0, 3, size=40)
@@ -474,16 +474,16 @@ class TestEnsembleBehavior:
         ensemble = fit_ensemble(ds, ModelConfig(n_trees=1, max_depth=0), seed=9)
         boot = np.random.default_rng(9).integers(0, 40, size=40)
         want = np.bincount(y[boot], minlength=3) / 40
-        pred = predict(ensemble, np.zeros(2))
-        assert np.array_equal(pred.per_member[0], want)
+        per_member = predict(ensemble, np.zeros((1, 2)))
+        assert np.array_equal(per_member[0, 0], want)
 
     def test_separable_toy_reaches_training_accuracy_one(self, rng):
         X = np.concatenate([rng.normal(size=(40, 2)), rng.normal(size=(40, 2)) + 8.0])
         y = np.repeat([0, 1], 40)
         ds = make_classification(X, y)
         ensemble = fit_ensemble(ds, ModelConfig(n_trees=10), seed=1)
-        pred = predict(ensemble, X)
-        assert (pred.aggregate.argmax(axis=1) == y).all()
+        per_member = predict(ensemble, X)
+        assert (per_member.mean(axis=0).argmax(axis=1) == y).all()
 
     def test_same_seed_is_bit_identical(self, rng):
         X, y = rng.normal(size=(50, 3)), rng.integers(0, 2, size=50)
@@ -491,7 +491,7 @@ class TestEnsembleBehavior:
         model = ModelConfig(n_trees=5)
         a = predict(fit_ensemble(ds, model, seed=21), X)
         b = predict(fit_ensemble(ds, model, seed=21), X)
-        assert np.array_equal(a.per_member, b.per_member)
+        assert np.array_equal(a, b)
 
     def test_tree_streams_depend_only_on_seed_plus_index(self, rng):
         X, y = rng.normal(size=(40, 2)), rng.integers(0, 2, size=40)
@@ -504,21 +504,18 @@ class TestEnsembleBehavior:
             assert np.array_equal(lhs.threshold, rhs.threshold)
             assert np.array_equal(lhs.value, rhs.value)
 
-    def test_aggregate_is_member_mean(self, rng):
-        ds = make_classification(rng.normal(size=(30, 2)), rng.integers(0, 3, size=30))
-        pred = predict(fit_ensemble(ds, ModelConfig(n_trees=7)), rng.normal(size=(9, 2)))
-        assert pred.aggregate == pytest.approx(pred.per_member.mean(axis=0), rel=1e-12)
-
     def test_prediction_shapes(self, rng):
         Xc = rng.normal(size=(25, 3))
         dsc = make_classification(Xc, rng.integers(0, 4, size=25))
         ens = fit_ensemble(dsc, ModelConfig(n_trees=3))
-        assert predict(ens, Xc[0]).per_member.shape == (3, 4)
-        assert predict(ens, Xc[:6]).per_member.shape == (3, 6, 4)
+        assert predict(ens, Xc[:1]).shape == (3, 1, 4)
+        assert predict(ens, Xc[:6]).shape == (3, 6, 4)
         dsr = make_regression(Xc, rng.normal(size=25))
         ens = fit_ensemble(dsr, ModelConfig(n_trees=3))
-        assert predict(ens, Xc[0]).per_member.shape == (3,)
-        assert predict(ens, Xc[:6]).per_member.shape == (3, 6)
+        assert predict(ens, Xc[:1]).shape == (3, 1)
+        assert predict(ens, Xc[:6]).shape == (3, 6)
+        with pytest.raises(ValueError, match="feature columns"):
+            predict(ens, Xc[0])  # one row is a (1, d) batch, not a vector
 
     def test_errors(self, rng):
         ds = make_classification(rng.normal(size=(10, 2)), rng.integers(0, 2, size=10))
@@ -561,30 +558,34 @@ class TestEnsembleBehavior:
         with pytest.raises(DataError, match="non-finite"):
             predict(ens, X)
         with pytest.raises(DataError, match="non-finite"):
-            predict(ens, X[3])
+            predict(ens, X[3:4])
 
 
+# One query row's member predictions, as the (members, 1, ...) batch that
+# predict returns; ``one`` reads the row's score back as a float.
 def binary_pred(probs):
-    pm = np.array([[1.0 - p, p] for p in probs])
-    return EnsemblePrediction(per_member=pm, aggregate=pm.mean(axis=0), task=CLASSIFICATION)
+    return np.array([[[1.0 - p, p]] for p in probs])
 
 
 def multi_pred(rows):
-    pm = np.asarray(rows, dtype=np.float64)
-    return EnsemblePrediction(per_member=pm, aggregate=pm.mean(axis=0), task=CLASSIFICATION)
+    return np.asarray(rows, dtype=np.float64)[:, None]
 
 
 def reg_pred(values):
-    pm = np.asarray(values, dtype=np.float64)
-    return EnsemblePrediction(per_member=pm, aggregate=pm.mean(axis=0), task=REGRESSION)
+    return np.asarray(values, dtype=np.float64)[:, None]
+
+
+def one(scores):
+    assert scores.shape == (1,)
+    return float(scores[0])
 
 
 class TestUncertainty:
     def test_binary_committee_pinned_values(self):
-        assert ensemble_binary_uncertainty(binary_pred([0.5, 0.5, 0.5])) == 0.0
-        assert ensemble_binary_uncertainty(binary_pred([1.0, 1.0])) == -0.5
-        assert ensemble_binary_uncertainty(binary_pred([0.0, 1.0])) == -0.5
-        got = ensemble_binary_uncertainty(binary_pred([0.3, 0.9]))
+        assert one(ensemble_binary_uncertainty(binary_pred([0.5, 0.5, 0.5]))) == 0.0
+        assert one(ensemble_binary_uncertainty(binary_pred([1.0, 1.0]))) == -0.5
+        assert one(ensemble_binary_uncertainty(binary_pred([0.0, 1.0]))) == -0.5
+        got = one(ensemble_binary_uncertainty(binary_pred([0.3, 0.9])))
         assert got == pytest.approx(-(0.2 + 0.4) / 2, rel=1e-12)
 
     def test_binary_committee_requires_two_classes(self):
@@ -599,40 +600,39 @@ class TestUncertainty:
         rng = np.random.default_rng(seed)
         m = int(rng.integers(1, 12))
         probs = np.round(rng.uniform(size=m), 2)
-        value = ensemble_binary_uncertainty(binary_pred(probs))
+        value = one(ensemble_binary_uncertainty(binary_pred(probs)))
         assert -0.5 <= value <= 0.0
         assert (value == 0.0) == bool((probs == 0.5).all())
 
     def test_regression_std_pinned_values(self):
-        assert regression_std_uncertainty(reg_pred([3.7, 3.7, 3.7])) == 0.0
-        assert regression_std_uncertainty(reg_pred([0.0, 2.0])) == 1.0
+        assert one(regression_std_uncertainty(reg_pred([3.7, 3.7, 3.7]))) == 0.0
+        assert one(regression_std_uncertainty(reg_pred([0.0, 2.0]))) == 1.0
 
     def test_regression_std_matches_numpy(self, rng):
         values = rng.normal(size=9) * 50
-        got = regression_std_uncertainty(reg_pred(values))
+        got = one(regression_std_uncertainty(reg_pred(values)))
         assert got == pytest.approx(np.std(values), rel=1e-12)
         with pytest.raises(ValueError):
             regression_std_uncertainty(binary_pred([0.5]))
 
     def test_max_prob_pinned_values(self):
-        assert max_prob_uncertainty(multi_pred([[0.0, 0.0, 1.0]])) == 0.0
-        assert max_prob_uncertainty(multi_pred([np.full(10, 0.1)])) == pytest.approx(0.9)
-        assert max_prob_uncertainty(multi_pred([[0.6, 0.3, 0.1]])) == pytest.approx(0.4)
+        assert one(max_prob_uncertainty(multi_pred([[0.0, 0.0, 1.0]]))) == 0.0
+        assert one(max_prob_uncertainty(multi_pred([np.full(10, 0.1)]))) == pytest.approx(0.9)
+        assert one(max_prob_uncertainty(multi_pred([[0.6, 0.3, 0.1]]))) == pytest.approx(0.4)
 
     def test_mean_std_pinned_values(self):
         same = multi_pred([[0.2, 0.8], [0.2, 0.8], [0.2, 0.8]])
-        assert mean_std_uncertainty(same) == 0.0
+        assert one(mean_std_uncertainty(same)) == 0.0
         cross = multi_pred([[1.0, 0.0], [0.0, 1.0]])
-        assert mean_std_uncertainty(cross) == 0.5
+        assert one(mean_std_uncertainty(cross)) == 0.5
         with pytest.raises(ValueError):
             mean_std_uncertainty(multi_pred([[0.5, 0.5]]))  # one member
 
     def test_mean_std_matches_per_class_numpy(self, rng):
         raw = rng.uniform(0.05, 1.0, size=(6, 4))
         pm = raw / raw.sum(axis=1, keepdims=True)
-        pred = multi_pred(pm)
         want = np.std(pm, axis=0).mean()
-        assert mean_std_uncertainty(pred) == pytest.approx(want, rel=1e-12)
+        assert one(mean_std_uncertainty(multi_pred(pm))) == pytest.approx(want, rel=1e-12)
 
     @given(st.integers(0, 10_000))
     def test_duplicating_members_changes_nothing(self, seed):
@@ -640,22 +640,33 @@ class TestUncertainty:
         m, c = int(rng.integers(2, 8)), int(rng.integers(2, 5))
         raw = rng.uniform(0.05, 1.0, size=(m, c))
         pm = raw / raw.sum(axis=1, keepdims=True)
-        one = multi_pred(pm)
-        two = multi_pred(np.concatenate([pm, pm]))
+        once = multi_pred(pm)
+        twice = multi_pred(np.concatenate([pm, pm]))
         for fn in (max_prob_uncertainty, mean_std_uncertainty):
-            assert fn(two) == pytest.approx(fn(one), rel=1e-12, abs=1e-15)
+            assert one(fn(twice)) == pytest.approx(one(fn(once)), rel=1e-12, abs=1e-15)
         if c == 2:
-            assert ensemble_binary_uncertainty(two) == pytest.approx(
-                ensemble_binary_uncertainty(one), rel=1e-12, abs=1e-15
+            assert one(ensemble_binary_uncertainty(twice)) == pytest.approx(
+                one(ensemble_binary_uncertainty(once)), rel=1e-12, abs=1e-15
             )
         values = rng.normal(size=m)
-        assert regression_std_uncertainty(
+        assert one(regression_std_uncertainty(
             reg_pred(np.concatenate([values, values]))
-        ) == pytest.approx(regression_std_uncertainty(reg_pred(values)), rel=1e-12, abs=1e-15)
+        )) == pytest.approx(one(regression_std_uncertainty(reg_pred(values))), rel=1e-12, abs=1e-15)
 
-    def test_prediction_row_sums_validated(self):
-        with pytest.raises(ValueError):
-            multi_pred([[0.6, 0.6]])
+    def test_prediction_row_sums_validated(self, rng):
+        # The uncertainties read member rows as probabilities: every row a
+        # fitted committee or the kNN votes give sums to 1 within 1e-9.
+        for n_classes in (1, 2, 5):
+            X = rng.normal(size=(80, 3))
+            ds = make_classification(X, rng.integers(0, n_classes, size=80), [f"c{i}" for i in range(n_classes)])
+            for model in (ModelConfig(n_trees=5), ModelConfig(n_trees=4, max_depth=2, min_leaf=3)):
+                fitted = fit_ensemble(ds, model, seed=3, rows=[np.arange(30), np.arange(20, 80)])
+                for committee in [fitted, *fitted.committees(2)]:
+                    per_member = predict(committee, rng.normal(size=(50, 3)))
+                    assert np.abs(per_member.sum(axis=-1) - 1.0).max() <= 1e-9
+            for k in (1, 3, 7):
+                votes = knn_from_labels(ds, rng.integers(0, n_classes, size=(40, k)))
+                assert np.abs(votes.sum(axis=-1) - 1.0).max() <= 1e-9
 
 
 class TestKnnPredict:
