@@ -8,7 +8,6 @@ success, 2 for configuration problems, 3 for unreadable or malformed data.
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import hashlib
 import json
@@ -48,7 +47,9 @@ from .dataset import (
     load_csv,
     load_idx,
     one_hot,
+    parse_numbers,
     read_colspec,
+    read_records,
     standardization_stats,
 )
 from .dci import dci_field, pool_scores, write_field_csv
@@ -114,9 +115,9 @@ def _build_raw_dataset(cfg: Cfg) -> Dataset:
     n = cfg.int("data.n", {"census": 10000, "wine": 1599, "three-class": 300, "digits": 600}[name])
     if seed < 0:
         raise ConfigError("data.seed must be non-negative")
-    least = 3 if name == "three-class" else 1  # three-class draws n // 3 rows per class
-    if n < least:
-        raise ConfigError(f"data.n must be at least {least} for {name}")
+    step = 3 if name == "three-class" else 1  # three-class draws n / 3 rows per class
+    if n < step or n % step:
+        raise ConfigError(f"data.n must be a positive multiple of {step} for {name} (got {n})")
     if name == "census":
         return synthetic.census_income(n, seed)
     if name == "wine":
@@ -155,29 +156,12 @@ def prepare_dataset(cfg: Cfg) -> tuple[Dataset, tuple[np.ndarray, np.ndarray] | 
 
 def _read_query_matrix(path: str, n_features: int) -> np.ndarray:
     """A numeric CSV (header line first) in the pool's encoded feature space."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = [r for r in csv.reader(fh) if r]
-    except OSError as exc:
-        raise DataError(f"cannot read query file {path}: {exc}") from exc
-    if not rows:
+    header, lines, rows = read_records(path)
+    if not header:
         return np.empty((0, n_features))
-    body = rows[1:]
-    out = np.empty((len(body), n_features))
-    for i, record in enumerate(body):
-        if len(record) != n_features:
-            raise DataError(
-                f"{path}: query row {i + 1} has {len(record)} fields, "
-                f"expected {n_features} (the encoded feature dimension)"
-            )
-        try:
-            out[i] = [float(c) for c in record]
-        except ValueError:
-            raise DataError(f"{path}: non-numeric value in query row {i + 1}") from None
-    bad = np.flatnonzero(~np.isfinite(out).all(axis=1))
-    if bad.size:
-        raise DataError(f"{path}: non-finite value in query row {bad[0] + 1}")
-    return out
+    if len(header) != n_features:
+        raise DataError(f"{path}: header width {len(header)}, expected the encoded width {n_features}")
+    return parse_numbers(rows, path, lines, header)
 
 
 def cmd_score(cfg: Cfg, out_dir: Path) -> None:

@@ -204,7 +204,7 @@ def parse_config(text: str, source: str = "<config>") -> dict[str, str]:
 def load_config(path: str | Path) -> dict[str, str]:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return parse_config(text, source=str(path))
 
@@ -222,71 +222,57 @@ def merge_config(preset: str | None, overrides: dict[str, str]) -> dict[str, str
     return cfg
 
 
+_REQUIRED = object()
+
+
 class Cfg:
-    """Typed access over a parsed key-value map."""
+    """Typed access over a parsed key-value map, every read through :meth:`get`."""
 
     def __init__(self, values: dict[str, str]):
         self.values = values
 
-    def str(self, key: str, default: str | None = None, choices: tuple[str, ...] | None = None) -> str:
+    def get(self, key: str, default: object, parse, expected: str):
+        """``parse`` of the value of ``key``, else ``default``; ``parse`` rejects by KeyError or ValueError."""
         if key not in self.values:
-            if default is None:
+            if default is _REQUIRED:
                 raise ConfigError(f"missing required config key {key!r}")
             return default
-        v = self.values[key]
-        if choices is not None and v not in choices:
-            raise ConfigError(f"{key} must be one of {', '.join(choices)} (got {v!r})")
-        return v
-
-    def int(self, key: str, default: int | None = None) -> int:
-        if key not in self.values:
-            if default is None:
-                raise ConfigError(f"missing required config key {key!r}")
-            return default
+        raw = self.values[key]
         try:
-            return int(self.values[key])
-        except ValueError:
-            raise ConfigError(f"{key} must be an integer (got {self.values[key]!r})") from None
+            return parse(raw)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{key} must be {expected} (got {raw!r})") from None
 
-    def float(self, key: str, default: float | None = None) -> float:
-        if key not in self.values:
-            if default is None:
-                raise ConfigError(f"missing required config key {key!r}")
-            return default
-        try:
-            return float(self.values[key])
-        except ValueError:
-            raise ConfigError(f"{key} must be a number (got {self.values[key]!r})") from None
+    def str(self, key: str, default: object = _REQUIRED, choices: tuple[str, ...] | None = None) -> str:
+        parse = (lambda raw: raw) if choices is None else dict(zip(choices, choices)).__getitem__
+        return self.get(key, default, parse, f"one of {', '.join(choices or ())}")
+
+    def int(self, key: str, default: object = _REQUIRED) -> int:
+        return self.get(key, default, int, "an integer")
+
+    def float(self, key: str, default: object = _REQUIRED) -> float:
+        return self.get(key, default, float, "a number")
 
     def bool(self, key: str, default: bool) -> bool:
-        if key not in self.values:
-            return default
-        v = self.values[key].lower()
-        if v not in ("true", "false"):
-            raise ConfigError(f"{key} must be true or false (got {self.values[key]!r})")
-        return v == "true"
+        return self.get(key, default, lambda raw: {"true": True, "false": False}[raw.lower()], "true or false")
 
-    def list(self, key: str, default: str | None = None) -> list[str]:
-        raw = self.str(key, default)
-        return [item.strip() for item in raw.split(",") if item.strip()]
+    def list(self, key: str, default: object = _REQUIRED) -> list[str]:
+        return [item.strip() for item in self.str(key, default).split(",") if item.strip()]
 
-    def floats(self, key: str, default: str | None = None) -> list[float]:
+    def _items(self, key: str, default: object, parse, expected: str) -> list:
         out = []
         for item in self.list(key, default):
             try:
-                out.append(float(item))
+                out.append(parse(item))
             except ValueError:
-                raise ConfigError(f"{key} entries must be numbers (got {item!r})") from None
+                raise ConfigError(f"{key} entries must be {expected} (got {item!r})") from None
         return out
 
-    def ints(self, key: str, default: str | None = None) -> list[int]:
-        out = []
-        for item in self.list(key, default):
-            try:
-                out.append(int(item))
-            except ValueError:
-                raise ConfigError(f"{key} entries must be integers (got {item!r})") from None
-        return out
+    def floats(self, key: str, default: object = _REQUIRED) -> list[float]:
+        return self._items(key, default, float, "numbers")
+
+    def ints(self, key: str, default: object = _REQUIRED) -> list[int]:
+        return self._items(key, default, int, "integers")
 
 
 def build_dci_params(cfg: Cfg) -> DciParams:
@@ -302,19 +288,14 @@ def build_dci_params(cfg: Cfg) -> DciParams:
 
 
 def build_model_config(cfg: Cfg) -> ModelConfig:
-    depth_raw = cfg.str("model.max_depth", "none")
-    if depth_raw.lower() == "none":
-        depth = None
-    else:
-        try:
-            depth = int(depth_raw)
-        except ValueError:
-            raise ConfigError(f"model.max_depth must be an integer or 'none'") from None
     try:
         return ModelConfig(
             kind=cfg.str("model.kind", "ensemble", choices=("ensemble", "knn")),
             n_trees=cfg.int("model.n_trees", 10),
-            max_depth=depth,
+            max_depth=cfg.get(
+                "model.max_depth", None, lambda raw: None if raw.lower() == "none" else int(raw),
+                "an integer or none",
+            ),
             min_leaf=cfg.int("model.min_leaf", 1),
             knn_k=cfg.int("model.knn_k", 5),
         )

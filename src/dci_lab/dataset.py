@@ -8,6 +8,7 @@ distances downstream are always measured on the encoded, standardized matrix.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import struct
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ KIND_LABEL_NUMERIC = "label_numeric"
 COLUMN_KINDS = (KIND_NUMERIC, KIND_CATEGORICAL, KIND_LABEL_CLASS, KIND_LABEL_NUMERIC)
 LABEL_KINDS = (KIND_LABEL_CLASS, KIND_LABEL_NUMERIC)
 
-MISSING_TOKENS = ("?", "")
+MISSING_TOKENS = frozenset({"?", ""})
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -187,6 +188,15 @@ class PcaModel:
         return self.components.shape[1]
 
 
+def _utf8_text(path: str | Path) -> str:
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_colspec(path: str | Path) -> list[ColumnSpec]:
     """Parse a column-spec file of ``name = kind`` lines.
 
@@ -195,7 +205,7 @@ def read_colspec(path: str | Path) -> list[ColumnSpec]:
     """
     specs: list[ColumnSpec] = []
     seen: set[str] = set()
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(_utf8_text(path).splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -215,102 +225,100 @@ def read_colspec(path: str | Path) -> list[ColumnSpec]:
     return specs
 
 
-def load_csv(path: str | Path, specs: Sequence[ColumnSpec]) -> Dataset:
-    """Load a comma-separated UTF-8 file with a header row.
+def read_records(path: str | Path) -> tuple[list[str], list[int], list[list[str]]]:
+    """(header, line numbers, rows) of a UTF-8 CSV file, every cell stripped.
 
-    Rows containing a missing-value token ("?" or an empty cell, after
-    stripping surrounding whitespace from each cell) are dropped.
-    Categorical cells map to indices in first-seen order.
+    Blank lines are skipped, quoting must be well formed and each row as wide
+    as the header. Line numbers count records; no header gives an empty one.
+    """
+    reader = enumerate(csv.reader(io.StringIO(_utf8_text(path), newline=""), strict=True), 1)
+    lines, rows, lineno = [], [], 0
+    try:
+        for lineno, record in reader:
+            if record:
+                lines.append(lineno)
+                rows.append([c.strip() for c in record])
+    except csv.Error as exc:
+        raise DataError(f"{path}:{lineno + 1}: {exc}") from None
+    header = rows[0] if rows else []
+    for line, row in zip(lines[1:], rows[1:]):
+        if len(row) != len(header):
+            raise DataError(f"{path}:{line}: {len(row)} fields, expected {len(header)} as in the header")
+    return header, lines[1:], rows[1:]
+
+
+def parse_numbers(
+    rows: Sequence[Sequence[str]], path: str | Path, lines: Sequence[int], names: Sequence[str]
+) -> np.ndarray:
+    """The float64 matrix of numeric cells, one row per line, one name per column.
+
+    A token that is not a number, or a value that is not finite, raises
+    :class:`DataError` naming the first such cell in row order.
+    """
+    try:
+        block = np.array(rows, dtype=np.float64).reshape(len(rows), len(names))
+        if np.isfinite(block).all():
+            return block
+    except ValueError:
+        pass
+    for line, row in zip(lines, rows):
+        for name, cell in zip(names, row):
+            try:
+                value = float(cell)
+            except ValueError:
+                raise DataError(f"{path}:{line}: non-numeric token {cell!r} in numeric column {name!r}") from None
+            if not math.isfinite(value):
+                raise DataError(f"{path}:{line}: non-finite value {cell!r} in numeric column {name!r}")
+    raise DataError(f"{path}: numeric cells do not form a {len(rows)} x {len(names)} block")
+
+
+def load_csv(path: str | Path, specs: Sequence[ColumnSpec]) -> Dataset:
+    """Load a comma-separated UTF-8 file with a header row, read by :func:`read_records`.
+
+    Rows containing a missing-value token ("?" or an empty cell) are dropped.
+    Numeric features and a numeric label parse with :func:`parse_numbers`;
+    categorical features and a class label map to indices in first-seen order.
     """
     spec_by_name = {s.name: s for s in specs}
     if len(spec_by_name) != len(specs):
         raise DataError("duplicate column names in specs")
-    cat_maps: dict[str, dict[str, int]] = {}
-    label_map: dict[str, int] = {}
-
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        for i, name in enumerate(header):
-            if name not in spec_by_name:
-                raise DataError(f"{path}: unknown column {name!r}")
-            if name in header[:i]:
-                raise DataError(f"{path}: column {name!r} appears twice in the header")
-        for name in spec_by_name:
-            if name not in header:
-                raise DataError(f"{path}: column {name!r} missing from header")
-        col_specs = [spec_by_name[n] for n in header]
-        label_pos = next(i for i, s in enumerate(col_specs) if s.is_label)
-        label_kind = col_specs[label_pos].kind
-
-        feature_positions = [i for i in range(len(header)) if i != label_pos]
-        rows: list[list[float]] = []
-        lab_rows: list[float] = []
-        for lineno, record in enumerate(reader, 2):
-            if not record:
-                continue
-            if len(record) != len(header):
-                raise DataError(f"{path}:{lineno}: expected {len(header)} fields")
-            cells = [c.strip() for c in record]
-            if any(c in MISSING_TOKENS for c in cells):
-                continue
-            row: list[float] = []
-            for i in feature_positions:
-                spec = col_specs[i]
-                cell = cells[i]
-                if spec.kind == KIND_NUMERIC:
-                    try:
-                        value = float(cell)
-                    except ValueError:
-                        raise DataError(
-                            f"{path}:{lineno}: non-numeric token {cell!r} "
-                            f"in numeric column {spec.name!r}"
-                        ) from None
-                    if not math.isfinite(value):
-                        raise DataError(
-                            f"{path}:{lineno}: non-finite value {cell!r} "
-                            f"in numeric column {spec.name!r}"
-                        )
-                    row.append(value)
-                else:
-                    cmap = cat_maps.setdefault(spec.name, {})
-                    row.append(float(cmap.setdefault(cell, len(cmap))))
-            cell = cells[label_pos]
-            if label_kind == KIND_LABEL_NUMERIC:
-                try:
-                    value = float(cell)
-                except ValueError:
-                    raise DataError(
-                        f"{path}:{lineno}: non-numeric token {cell!r} in label column"
-                    ) from None
-                if not math.isfinite(value):
-                    raise DataError(f"{path}:{lineno}: non-finite value {cell!r} in label column")
-                lab_rows.append(value)
-            else:
-                lab_rows.append(float(label_map.setdefault(cell, len(label_map))))
-            rows.append(row)
-
-    if not rows:
+    header, lines, rows = read_records(path)
+    if not header:
+        raise DataError(f"{path}: empty file")
+    for i, name in enumerate(header):
+        if name not in spec_by_name:
+            raise DataError(f"{path}: unknown column {name!r}")
+        if name in header[:i]:
+            raise DataError(f"{path}: column {name!r} appears twice in the header")
+    for name in spec_by_name:
+        if name not in header:
+            raise DataError(f"{path}: column {name!r} missing from header")
+    col_specs = [spec_by_name[n] for n in header]
+    kept = [(line, row) for line, row in zip(lines, rows) if MISSING_TOKENS.isdisjoint(row)]
+    if not kept:
         raise DataError(f"{path}: no rows left after removing missing data")
+    lines, rows = zip(*kept)
+    columns = list(zip(*rows))
 
-    ordered_specs = tuple(col_specs[i] for i in feature_positions) + (col_specs[label_pos],)
-    out_categories = {name: tuple(m) for name, m in cat_maps.items()}
-    out_class_names = None
-    labels: np.ndarray
-    if label_kind == KIND_LABEL_CLASS:
-        out_class_names = tuple(label_map)
-        labels = np.asarray(lab_rows, dtype=np.int64)
-    else:
-        labels = np.asarray(lab_rows, dtype=np.float64)
+    numeric = [i for i, s in enumerate(col_specs) if s.kind in (KIND_NUMERIC, KIND_LABEL_NUMERIC)]
+    block = parse_numbers(list(zip(*(columns[i] for i in numeric))), path, lines, [header[i] for i in numeric])
+    values = dict(zip(numeric, block.T))
+    vocabularies = {}
+    for i, spec in enumerate(col_specs):
+        if spec.kind in (KIND_CATEGORICAL, KIND_LABEL_CLASS):
+            index: dict[str, int] = {}
+            values[i] = [index.setdefault(cell, len(index)) for cell in columns[i]]
+            vocabularies[spec.name] = tuple(index)
+    label_pos = next(i for i, s in enumerate(col_specs) if s.is_label)
+    feature_positions = [i for i in range(len(header)) if i != label_pos]
+    features = np.array([values[i] for i in feature_positions], dtype=np.float64)
+    label = col_specs[label_pos]
     return Dataset(
-        features=np.asarray(rows, dtype=np.float64),
-        labels=labels,
-        column_specs=ordered_specs,
-        class_names=out_class_names,
-        categories=out_categories,
+        features=features.reshape(len(feature_positions), len(rows)).T,
+        labels=np.asarray(values[label_pos]),
+        column_specs=tuple(col_specs[i] for i in feature_positions) + (label,),
+        class_names=vocabularies.pop(label.name, None),
+        categories=vocabularies,
     )
 
 

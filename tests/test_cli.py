@@ -87,9 +87,38 @@ class TestScore:
             tmp_path / "c.cfg", **base_pairs(**{"score.query": str(qpath)})
         )
         assert main(["score", "--config", cfg, "--out", str(tmp_path)]) == 3
-        assert "non-finite value in query row 2" in capsys.readouterr().err
+        assert f"q.csv:3: non-finite value '{bad}' in numeric column 'x'" in capsys.readouterr().err
         assert not (tmp_path / "scores.csv").exists()
 
+    def test_first_bad_query_cell_in_row_order_is_named(self, tmp_path, capsys):
+        qpath = tmp_path / "q.csv"
+        qpath.write_text("x,y\n0.1,0.2\n0.3,oops\nnan,0.4\n")
+        cfg = write_cfg(
+            tmp_path / "c.cfg", **base_pairs(**{"score.query": str(qpath)})
+        )
+        assert main(["score", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "q.csv:3: non-numeric token 'oops' in numeric column 'y'" in capsys.readouterr().err
+        assert not (tmp_path / "scores.csv").exists()
+
+    def test_query_header_of_another_width_is_a_data_error(self, tmp_path, capsys):
+        # The header must have the encoded width even when no row follows it.
+        qpath = tmp_path / "q.csv"
+        qpath.write_text("x\n")
+        cfg = write_cfg(
+            tmp_path / "c.cfg", **base_pairs(**{"score.query": str(qpath)})
+        )
+        assert main(["score", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert "q.csv: header width 1, expected the encoded width 2" in capsys.readouterr().err
+        assert not (tmp_path / "scores.csv").exists()
+
+    def test_empty_query_file(self, tmp_path):
+        qpath = tmp_path / "q.csv"
+        qpath.write_bytes(b"")
+        cfg = write_cfg(
+            tmp_path / "c.cfg", **base_pairs(**{"score.query": str(qpath)})
+        )
+        assert main(["score", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "scores.csv").read_text() == "dci\n"
 
     def test_scores_that_are_not_finite_are_a_data_error(self, tmp_path, capsys):
         qpath = tmp_path / "q.csv"
@@ -528,6 +557,7 @@ class TestConfigRanges:
             ("simulate", {"data.n": "-5"}),
             ("simulate", {"data.n": "2"}),
             ("analyze", {"data.n": "2"}),
+            ("simulate", {"data.n": "100"}),
         ],
     )
     def test_out_of_range_is_a_config_error(self, tmp_path, capsys, command, pairs):
@@ -555,6 +585,27 @@ class TestConfigRanges:
     def test_base_pairs_are_valid(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", **ANALYZE_PAIRS)
         assert main(["analyze", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
+def csv_score_files(tmp_path):
+    """A csv-source score run: pool, colspec, query and config file paths."""
+    files = {
+        "d.csv": b"x,y\n0.5,a\n1.5,b\n2.5,a\n",
+        "c.spec": b"x = numeric\ny = label_class\n",
+        "q.csv": b"x\n0.7\n",
+    }
+    for name, body in files.items():
+        (tmp_path / name).write_bytes(body)
+    return write_cfg(
+        tmp_path / "c.cfg",
+        **{
+            "data.source": "csv",
+            "data.csv": str(tmp_path / "d.csv"),
+            "data.colspec": str(tmp_path / "c.spec"),
+            "score.query": str(tmp_path / "q.csv"),
+            "dci.k": "2",
+        },
+    )
 
 
 class TestErrorPaths:
@@ -654,6 +705,37 @@ class TestErrorPaths:
         assert main(["score", "--config", cfg, "--out", str(tmp_path)]) == 3
         assert f"d.csv:3: non-finite value '{bad}'" in capsys.readouterr().err
         assert not (tmp_path / "scores.csv").exists()
+
+    @pytest.mark.parametrize(
+        "name, body, code, message",
+        [
+            ("d.csv", b"x,y\n0.5,a\n\xff,b\n", 3, "d.csv:3: not UTF-8 text"),
+            ("c.spec", b"x = numeric\n# caf\xe9\ny = label_class\n", 3, "c.spec:2: not UTF-8 text"),
+            ("q.csv", b"x\n\xe90.7\n", 3, "q.csv:2: not UTF-8 text"),
+            ("c.cfg", b"data.source = csv\n# \xff\n", 2, "config error: cannot read config"),
+            ("d.csv", b"x,y\n0.5," + b"a" * 131_073 + b"\n", 3, "d.csv:2: field larger than field limit"),
+            ("q.csv", b"x\n0.7\n" + b"1" * 131_073 + b"\n", 3, "q.csv:3: field larger than field limit"),
+        ],
+    )
+    def test_unreadable_text_file_exits_with_one_line(self, tmp_path, capsys, name, body, code, message):
+        cfg = csv_score_files(tmp_path)
+        (tmp_path / name).write_bytes(body)
+        out = tmp_path / "out"
+        assert main(["score", "--config", cfg, "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert message in err and err.count("\n") == 1
+        assert list(out.glob("*")) == []
+
+    def test_stray_quote_is_a_data_error(self, tmp_path, capsys):
+        # Read leniently, the open quote would swallow the remaining rows
+        # into one class name and the run would exit 0.
+        cfg = csv_score_files(tmp_path)
+        (tmp_path / "d.csv").write_text('x,y\n1,a\n3,"b\n5,a\n7,b\n9,a\n')
+        out = tmp_path / "out"
+        assert main(["score", "--config", cfg, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "d.csv:3: unexpected end of data" in err and err.count("\n") == 1
+        assert list(out.glob("*")) == []
 
 
 def sha256(path):

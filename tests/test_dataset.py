@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import make_classification
 from dci_lab.dataset import (
@@ -166,6 +168,7 @@ class TestLoadCsv:
             "age,job,income\n?,clerk,low\n",  # all rows dropped
             "age,job,income\nnan,clerk,low\n",  # non-finite numeric cell
             "age,job,income\n-inf,clerk,low\n",  # non-finite numeric cell
+            'age,job,income\n30,clerk,low\n40,"clerk,high\n50,clerk,low\n',  # unterminated quote
         ],
     )
     def test_rejects_malformed(self, tmp_path, body):
@@ -173,6 +176,92 @@ class TestLoadCsv:
         p.write_text(body)
         with pytest.raises(DataError):
             load_csv(p, CSV_SPECS)
+
+    @pytest.mark.parametrize(
+        "body, specs, message",
+        [
+            (
+                "age,job,income\n30,clerk,low\nthirty,clerk,high\nnan,clerk,low\n",
+                CSV_SPECS,
+                "bad.csv:3: non-numeric token 'thirty' in numeric column 'age'",
+            ),
+            (
+                "x,y\n1,2\n?,zz\n\n2,inf\n3,oops\n",
+                [ColumnSpec("x", "numeric"), ColumnSpec("y", "label_numeric")],
+                "bad.csv:5: non-finite value 'inf' in numeric column 'y'",
+            ),
+        ],
+    )
+    def test_first_bad_cell_is_named_by_line_and_column(self, tmp_path, body, specs, message):
+        # Line numbers count the dropped row and the blank line as well.
+        p = tmp_path / "bad.csv"
+        p.write_text(body)
+        with pytest.raises(DataError) as err:
+            load_csv(p, specs)
+        assert str(err.value).endswith(message)
+
+    @given(data=st.data())
+    def test_matches_a_cell_by_cell_reading(self, tmp_path_factory, data):
+        n_numeric = data.draw(st.integers(0, 3))
+        n_categorical = data.draw(st.integers(0, 3))
+        label_kind = data.draw(st.sampled_from(["label_class", "label_numeric"]))
+        specs = [ColumnSpec(f"n{i}", "numeric") for i in range(n_numeric)]
+        specs += [ColumnSpec(f"c{i}", "categorical") for i in range(n_categorical)]
+        specs.append(ColumnSpec("y", label_kind))
+        header = data.draw(st.permutations(specs))
+        number = st.one_of(
+            st.integers(-1000, 1000).map(str),
+            st.floats(allow_nan=False, allow_infinity=False).map(repr),
+            st.floats(-1e6, 1e6).map(lambda v: format(v, ".4e")),
+        )
+        token = st.sampled_from(["a", "b", "ccc", "d e"])
+        pad = st.sampled_from(["", " ", "\t", "  "])
+        # One column, if any, holds missing tokens, so that most rows are kept.
+        sparse = data.draw(st.sampled_from([None, *header]))
+
+        def cell(spec):
+            value = number if spec.kind in ("numeric", "label_numeric") else token
+            if spec == sparse:
+                value = st.one_of(value, st.sampled_from(["?", ""]))
+            return st.tuples(pad, value, pad).map("".join)
+
+        rows = data.draw(st.lists(st.tuples(*(cell(s) for s in header)), min_size=1, max_size=12))
+        blank_after = data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+        lines = [",".join(s.name for s in header)]
+        for row, blank in zip(rows, blank_after):
+            lines += [",".join(row)] + [""] * blank
+        path = tmp_path_factory.mktemp("table") / "t.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        # The expectation, one cell at a time.
+        vocab = {s.name: {} for s in header}
+        kept = []
+        for row in rows:
+            cells = [c.strip() for c in row]
+            if any(c in ("?", "") for c in cells):
+                continue
+            values = {}
+            for s, c in zip(header, cells):
+                if s.kind in ("numeric", "label_numeric"):
+                    values[s.name] = float(c)
+                else:
+                    values[s.name] = vocab[s.name].setdefault(c, len(vocab[s.name]))
+            kept.append(values)
+        if not kept:
+            with pytest.raises(DataError, match="no rows left"):
+                load_csv(path, specs)
+            return
+        ds = load_csv(path, specs)
+        feature_specs = [s for s in header if not s.is_label]
+        assert ds.column_specs == tuple(feature_specs) + (specs[-1],)
+        want = np.array([[v[s.name] for s in feature_specs] for v in kept], dtype=np.float64)
+        assert ds.features.tobytes() == want.reshape(len(kept), len(feature_specs)).tobytes()
+        assert ds.labels.tolist() == [v["y"] for v in kept]
+        if label_kind == "label_class":
+            assert ds.class_names == tuple(vocab["y"])
+        else:
+            assert ds.class_names is None
+        assert ds.categories == {s.name: tuple(vocab[s.name]) for s in feature_specs if s.kind == "categorical"}
 
 
 class TestIdx:
