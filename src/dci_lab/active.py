@@ -19,7 +19,7 @@ from typing import Callable, Generator, NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, pca_fit, pca_project
+from .dataset import Dataset, pca_fit, pca_project, write_csv
 from .dci import DciParams, pool_scores
 from .metrics import accuracy, auroc, rmse
 from .neighbors import _sq_norms, extend_neighbors
@@ -179,8 +179,9 @@ class LearningCurve:
         return tuple(v for _, v in self.points)
 
 
-@dataclass(frozen=True)
-class SummaryRow:
+class SummaryRow(NamedTuple):
+    """One strategy's metric statistics at one train size, across seeds."""
+
     strategy: str
     train_size: int
     mean: float
@@ -490,42 +491,25 @@ def aggregate(curves: Sequence[LearningCurve]) -> list[SummaryRow]:
     for c in curves:
         if c.train_sizes != schedule:
             raise ValueError("curves have mismatched train-size schedules")
-    labels = []
-    for c in curves:
-        if c.strategy not in labels:
-            labels.append(c.strategy)
+    labels = dict.fromkeys(c.strategy for c in curves)
     rows: list[SummaryRow] = []
     for label in labels:
         values = np.array([c.values for c in curves if c.strategy == label])
         q25, med, q75 = np.quantile(values, [0.25, 0.5, 0.75], axis=0)
         mean = values.mean(axis=0)
         for j, size in enumerate(schedule):
-            rows.append(
-                SummaryRow(
-                    strategy=label,
-                    train_size=int(size),
-                    mean=float(mean[j]),
-                    median=float(med[j]),
-                    q25=float(q25[j]),
-                    q75=float(q75[j]),
-                )
-            )
+            stats = (float(mean[j]), float(med[j]), float(q25[j]), float(q75[j]))
+            rows.append(SummaryRow(label, int(size), *stats))
     return rows
 
 
 def write_curves_csv(path: str | Path, curves: Sequence[LearningCurve]) -> None:
-    lines = ["strategy,seed,train_size,metric,value"]
-    for c in curves:
-        for size, value in c.points:
-            lines.append(f"{c.strategy},{c.seed},{size},{c.metric},{format(value + 0.0, '.9g')}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(
+        path,
+        ["strategy", "seed", "train_size", "metric", "value"],
+        ((c.strategy, c.seed, size, c.metric, value) for c in curves for size, value in c.points),
+    )
 
 
 def write_summary_csv(path: str | Path, rows: Sequence[SummaryRow]) -> None:
-    lines = ["strategy,train_size,mean,median,q25,q75"]
-    for r in rows:
-        stats = ",".join(
-            format(v + 0.0, ".9g") for v in (r.mean, r.median, r.q25, r.q75)
-        )
-        lines.append(f"{r.strategy},{r.train_size},{stats}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, SummaryRow._fields, rows)

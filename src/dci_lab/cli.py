@@ -13,7 +13,7 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from glob import glob
 from pathlib import Path
 
@@ -51,6 +51,7 @@ from .dataset import (
     read_colspec,
     read_records,
     standardization_stats,
+    write_csv,
 )
 from .dci import dci_field, pool_scores, write_field_csv
 from .metrics import average_reports, decile_analysis, write_decile_csv
@@ -66,34 +67,6 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 _OPENBLAS = str(Path(np.__file__).resolve().parent.parent / "numpy.libs" / "libscipy_openblas64_*.so")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What a simulate invocation consumed and produced."""
-
-    tool_version: str
-    seed: int
-    config: dict[str, str]
-    dataset_rows: int
-    dataset_columns: int
-    dataset_sha256: str
-    outputs: dict[str, dict[str, str]]
-
-    def to_json(self) -> str:
-        payload = {
-            "tool": "dci-lab",
-            "version": self.tool_version,
-            "seed": self.seed,
-            "config": dict(sorted(self.config.items())),
-            "dataset": {
-                "rows": self.dataset_rows,
-                "columns": self.dataset_columns,
-                "sha256": self.dataset_sha256,
-            },
-            "outputs": self.outputs,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def dataset_fingerprint(ds: Dataset) -> str:
     h = hashlib.sha256()
     h.update(str(ds.features.shape).encode())
@@ -104,7 +77,7 @@ def dataset_fingerprint(ds: Dataset) -> str:
 
 
 def _build_raw_dataset(cfg: Cfg) -> Dataset:
-    source = cfg.str("data.source", choices=("synthetic", "csv", "idx"))
+    source = cfg.str("data.source", "synthetic", choices=("synthetic", "csv", "idx"))
     if source == "csv":
         specs = read_colspec(cfg.str("data.colspec"))
         return load_csv(cfg.str("data.csv"), specs)
@@ -172,8 +145,7 @@ def cmd_score(cfg: Cfg, out_dir: Path) -> None:
         mean, inv = stats
         Q = (Q - mean) * inv
     (scores,) = pool_scores(ds.features, *ds.class_codes, Q, [params])
-    lines = ["dci"] + [format(s + 0.0, ".9g") for s in scores]
-    (out_dir / "scores.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(out_dir / "scores.csv", ["dci"], zip(scores))
 
 
 def cmd_grid(cfg: Cfg, out_dir: Path) -> None:
@@ -212,18 +184,16 @@ def cmd_simulate(cfg: Cfg, out_dir: Path, seed: int, threads: int) -> None:
     curves = run_many(exp, base_seed=seed, threads=threads)
     write_curves_csv(out_dir / "curves.csv", curves)
     write_summary_csv(out_dir / "summary.csv", aggregate(curves))
-    manifest = RunManifest(
-        tool_version=__version__,
-        seed=seed,
-        config=cfg.values,
-        dataset_rows=ds.n_rows,
-        dataset_columns=ds.n_features,
-        dataset_sha256=dataset_fingerprint(ds),
-        outputs={
-            s.label: {"curves": "curves.csv", "summary": "summary.csv"} for s in exp.strategies
-        },
-    )
-    (out_dir / "manifest.json").write_text(manifest.to_json(), encoding="utf-8")
+    manifest = {
+        "tool": "dci-lab",
+        "version": __version__,
+        "seed": seed,
+        "config": cfg.values,
+        "dataset": {"rows": ds.n_rows, "columns": ds.n_features, "sha256": dataset_fingerprint(ds)},
+        "outputs": {s.label: {"curves": "curves.csv", "summary": "summary.csv"} for s in exp.strategies},
+    }
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    (out_dir / "manifest.json").write_text(text, encoding="utf-8")
 
 
 def _analyze_seed(seed: int, split: int) -> int:

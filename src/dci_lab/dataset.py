@@ -13,7 +13,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -28,9 +28,6 @@ MISSING_TOKENS = frozenset({"?", ""})
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
-
-# Columns with population std below this are treated as constant and zeroed.
-DEGENERATE_STD = 1e-12
 
 
 class DataError(Exception):
@@ -322,6 +319,21 @@ def load_csv(path: str | Path, specs: Sequence[ColumnSpec]) -> Dataset:
     )
 
 
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable[object]]) -> None:
+    """Write a header line and one comma-joined line per row.
+
+    This is the byte format of every CSV the package writes: floats (Python
+    or NumPy) with 9 significant digits and -0 as 0, every other value
+    through ``str``, UTF-8 with LF line ends and a final newline.
+    """
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(
+            format(v + 0.0, ".9g") if isinstance(v, (float, np.floating)) else str(v) for v in row
+        ))
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def _read_be_u32(buf: bytes, offset: int, path: str | Path) -> int:
     if offset + 4 > len(buf):
         raise DataError(f"{path}: truncated file")
@@ -442,9 +454,10 @@ def standardization_stats(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-column (mean, inverse-scale) computed over the given rows.
 
-    Columns that standardization does not touch get mean 0 and scale 1;
-    constant columns (population std below 1e-12) get scale 0, which maps
-    them to all-zero when applied.
+    Columns that standardization does not touch get mean 0 and scale 1.
+    A column whose values over the given rows are all equal (or whose
+    population std is 0) gets scale 0, which maps it to all-zero when
+    applied; any other column gets unit std, even a spread below 1e-12.
     """
     rows = np.asarray(stats_from, dtype=np.intp)
     if rows.size == 0:
@@ -462,7 +475,9 @@ def standardization_stats(
         sub = ds.features[rows][:, touch]
         m = sub.mean(axis=0)
         std = sub.std(axis=0)  # population std (divide by n)
-        inv = np.where(std < DEGENERATE_STD, 0.0, 1.0 / np.where(std < DEGENERATE_STD, 1.0, std))
+        # Rounding leaves a constant column far from 0 a tiny nonzero std.
+        constant = (sub == sub[0]).all(axis=0) | (std == 0.0)
+        inv = np.where(constant, 0.0, 1.0 / np.where(constant, 1.0, std))
         mean[touch] = m
         inv_scale[touch] = inv
     return mean, inv_scale
@@ -509,7 +524,7 @@ def pca_fit(X: np.ndarray, n_components: int) -> PcaModel:
     eigvals = np.clip(eigvals[order], 0.0, None)
     eigvecs = eigvecs[:, order]
     total = eigvals.sum()
-    rank = int((eigvals > max(total, 1.0) * 1e-12).sum())
+    rank = int((eigvals > total * 1e-12).sum())
     if wide:
         components = np.zeros((n_components, d))
         for j in range(min(n_components, rank)):

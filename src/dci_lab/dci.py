@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import DataError, Dataset
+from .dataset import DataError, Dataset, write_csv
 from .neighbors import nearest_neighbors
 
 DEFAULT_EPSILON = 1e-12
@@ -198,16 +198,10 @@ def dci_field(
 
 
 def write_field_csv(path: str | Path, grid: GridSpec, field: np.ndarray) -> None:
-    """Write grid scores as x,y,dci rows (x fastest) with 9 significant digits."""
+    """Write grid scores as x,y,dci rows, x varying fastest."""
     field = np.asarray(field, dtype=np.float64)
     if field.shape != (grid.resolution, grid.resolution):
         raise ValueError("field shape must match the grid resolution")
     xs, ys = grid.axes()
-    lines = ["x,y,dci"]
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            lines.append(
-                f"{format(x + 0.0, '.9g')},{format(y + 0.0, '.9g')},"
-                f"{format(field[iy, ix] + 0.0, '.9g')}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = ((x, y, field[iy, ix]) for iy, y in enumerate(ys) for ix, x in enumerate(xs))
+    write_csv(path, ["x", "y", "dci"], rows)

@@ -2,38 +2,20 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-
-@dataclass(frozen=True)
-class DecileBucket:
-    percentile_lo: float
-    percentile_hi: float
-    count: int
-    accuracy: float
+from .dataset import write_csv
 
 
-@dataclass(frozen=True)
-class DecileReport:
-    """Per-decile accuracy after sorting test items by uncertainty."""
+class DecileReport(NamedTuple):
+    """Per-decile item counts and accuracies after sorting test items by
+    uncertainty, lowest-uncertainty decile first."""
 
-    buckets: tuple[DecileBucket, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "buckets", tuple(self.buckets))
-        if len(self.buckets) != 10:
-            raise ValueError("a decile report has exactly 10 buckets")
-
-    @property
-    def accuracies(self) -> np.ndarray:
-        return np.array([b.accuracy for b in self.buckets])
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.array([b.count for b in self.buckets])
+    counts: np.ndarray
+    accuracies: np.ndarray
 
 
 def _ranks_with_ties(values: np.ndarray) -> np.ndarray:
@@ -110,24 +92,10 @@ def decile_analysis(uncertainties: np.ndarray, correct: np.ndarray) -> DecileRep
     if not np.isin(c, (0, 1)).all():
         raise ValueError("correct must be binary 0/1")
     order = np.argsort(u, kind="stable")
-    sorted_correct = c[order].astype(np.float64)
-    n = u.shape[0]
-    base, rem = divmod(n, 10)
-    sizes = [base + 1 if i < rem else base for i in range(10)]
-    buckets = []
-    start = 0
-    for i, size in enumerate(sizes):
-        chunk = sorted_correct[start : start + size]
-        buckets.append(
-            DecileBucket(
-                percentile_lo=10.0 * i,
-                percentile_hi=10.0 * (i + 1),
-                count=size,
-                accuracy=float(chunk.mean()),
-            )
-        )
-        start += size
-    return DecileReport(buckets=tuple(buckets))
+    base, rem = divmod(u.shape[0], 10)
+    counts = np.where(np.arange(10) < rem, base + 1, base)
+    chunks = np.split(c[order].astype(np.float64), np.cumsum(counts)[:-1])
+    return DecileReport(counts, np.array([chunk.mean() for chunk in chunks]))
 
 
 def average_reports(reports: list[DecileReport]) -> DecileReport:
@@ -138,18 +106,9 @@ def average_reports(reports: list[DecileReport]) -> DecileReport:
     for r in reports[1:]:
         if not np.array_equal(r.counts, counts):
             raise ValueError("reports have mismatched bucket sizes")
-    mean_acc = np.mean([r.accuracies for r in reports], axis=0)
-    return DecileReport(
-        buckets=tuple(
-            DecileBucket(b.percentile_lo, b.percentile_hi, b.count, float(a))
-            for b, a in zip(reports[0].buckets, mean_acc)
-        )
-    )
+    return DecileReport(counts, np.mean([r.accuracies for r in reports], axis=0))
 
 
 def write_decile_csv(path: str | Path, report: DecileReport) -> None:
     """Write one decile,count,accuracy row per bucket."""
-    lines = ["decile,count,accuracy"]
-    for i, b in enumerate(report.buckets, 1):
-        lines.append(f"{i},{b.count},{format(b.accuracy + 0.0, '.9g')}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_csv(path, ["decile", "count", "accuracy"], zip(range(1, 11), *report))

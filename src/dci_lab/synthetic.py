@@ -9,6 +9,8 @@ Every generator is a pure function of its seed.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 
 from .dataset import (
@@ -18,6 +20,7 @@ from .dataset import (
     KIND_NUMERIC,
     ColumnSpec,
     Dataset,
+    write_csv,
 )
 
 
@@ -182,27 +185,14 @@ def digits_dataset(n: int = 600, seed: int = 3) -> Dataset:
 
 def write_dataset_csv(ds: Dataset, path) -> None:
     """Write a dataset back to CSV, mapping category and class codes to tokens."""
-    header = [s.name for s in ds.column_specs]
-    lines = [",".join(header)]
-    for i in range(ds.n_rows):
-        cells = []
-        for j, spec in enumerate(ds.feature_specs):
-            v = ds.features[i, j]
-            if spec.kind == KIND_CATEGORICAL:
-                cells.append(ds.categories[spec.name][int(v)])
-            else:
-                cells.append(format(v + 0.0, ".9g"))
-        if ds.is_classification:
-            cells.append(ds.class_names[int(ds.labels[i])])
-        else:
-            cells.append(format(float(ds.labels[i]) + 0.0, ".9g"))
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = [
+        [ds.categories[spec.name][int(v)] for v in column] if spec.kind == KIND_CATEGORICAL else column
+        for spec, column in zip(ds.feature_specs, ds.features.T)
+    ]
+    labels = [ds.class_names[i] for i in ds.labels] if ds.is_classification else ds.labels
+    write_csv(path, [s.name for s in ds.column_specs], zip(*columns, labels))
 
 
 def write_colspec(ds: Dataset, path) -> None:
     """Write the matching `name = kind` column-spec file."""
-    lines = [f"{s.name} = {s.kind}" for s in ds.column_specs]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    Path(path).write_text("".join(f"{s.name} = {s.kind}\n" for s in ds.column_specs), encoding="utf-8")

@@ -61,6 +61,17 @@ class TestScore:
         got = np.array([float(v) for v in lines[1:]])
         assert got == pytest.approx(want, rel=1e-8)
 
+    def test_data_source_defaults_to_synthetic(self, tmp_path):
+        qpath = tmp_path / "q.csv"
+        qpath.write_text("x,y\n0.5,0.5\n2.0,1.5\n")
+        pairs = {"data.name": "three-class", "data.n": "60", "score.query": str(qpath)}
+        outputs = []
+        for name, extra in (("default", {}), ("explicit", {"data.source": "synthetic"})):
+            cfg = write_cfg(tmp_path / f"{name}.cfg", **pairs, **extra)
+            assert main(["score", "--config", cfg, "--out", str(tmp_path / name)]) == 0
+            outputs.append((tmp_path / name / "scores.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_header_only_query_file(self, tmp_path):
         qpath = tmp_path / "q.csv"
         qpath.write_text("x,y\n")
@@ -795,3 +806,53 @@ class TestOutputBytes:
             "decile_train20_max_prob.csv": "104e5cfc63196a7d1e8fef6ec28631a2bef8b34a1ec8a6699f3e2b1794111bc1",
             "decile_train20_mean_std.csv": "104e5cfc63196a7d1e8fef6ec28631a2bef8b34a1ec8a6699f3e2b1794111bc1",
         }
+
+    @pytest.mark.parametrize(
+        "pairs, digests",
+        [
+            pytest.param(
+                dict(
+                    SIM_PAIRS,
+                    **{
+                        "model.kind": "ensemble",
+                        "model.n_trees": "3",
+                        "strategies": "random,dci-low,dci-high-pca2,uncertainty-max_prob",
+                    },
+                ),
+                (
+                    "2814fa50c9aa55930f08b67da81a0d1634d89507572cfa2d04ac4d5e0bffd7d9",
+                    "8c1a64e5d6792ee091d791c8ceae863c763e9d09b3d365e35eec8073e677338e",
+                    "d6cec453eb5aa6a6e347870618509c03a245e849679212850f8d908582ac0870",
+                ),
+                id="three-class",
+            ),
+            pytest.param(
+                dict(
+                    SIM_PAIRS,
+                    **{
+                        "data.name": "wine",
+                        "data.n": "120",
+                        "model.kind": "ensemble",
+                        "model.n_trees": "3",
+                        "experiment.metric": "rmse",
+                        "experiment.initial_train_size": "20",
+                        "experiment.additions_per_update": "5",
+                        "experiment.test_size": "30",
+                        "strategies": "uncertainty-regression_std",
+                    },
+                ),
+                (
+                    "b99ee1b8193ea79c0c0e9048dcde274e83751007506dc0524c3b8210766888b0",
+                    "4506aedbe93415965e1567359b5503a7d1e6e1bbef0efc6f0120d8eb6a719e5d",
+                    "6f38a52502da03b49e23ffbff52aac3c77c5e1ab6d8a1f3b375864e9016b05a1",
+                ),
+                id="wine-rmse",
+            ),
+        ],
+    )
+    def test_simulate(self, tmp_path, pairs, digests):
+        cfg = write_cfg(tmp_path / "c.cfg", **pairs)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--seed", "5", "--out", str(out)]) == 0
+        names = ("curves.csv", "summary.csv", "manifest.json")
+        assert tuple(sha256(out / name) for name in names) == digests

@@ -18,6 +18,7 @@ from dci_lab.dataset import (
     pca_project,
     read_colspec,
     standardization_stats,
+    write_csv,
     write_idx,
 )
 
@@ -264,6 +265,21 @@ class TestLoadCsv:
         assert ds.categories == {s.name: tuple(vocab[s.name]) for s in feature_specs if s.kind == "categorical"}
 
 
+class TestWriteCsv:
+    def test_byte_format(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [
+            ("a", 1, -0.0, np.float64(-0.0), 1 / 3),
+            ("b", np.int64(7), np.float64(2.0), 1e-20, np.float32(0.5)),
+        ]
+        write_csv(path, ["s", "i", "z", "nz", "x"], rows)
+        assert path.read_bytes() == (
+            b"s,i,z,nz,x\n"
+            b"a,1,0,0,0.333333333\n"
+            b"b,7,2,1e-20,0.5\n"
+        )
+
+
 class TestIdx:
     def test_round_trip(self, tmp_path, rng):
         images = rng.integers(0, 256, size=(7, 4, 5)).astype(np.uint8)
@@ -374,11 +390,14 @@ class TestStandardize:
         want = (X - sub.mean(axis=0)) / sub.std(axis=0)
         assert out.features == pytest.approx(want, rel=1e-12)
 
-    def test_constant_column_zeroed(self, rng):
-        X = rng.normal(size=(10, 2))
-        X[:, 1] = 7.0
-        ds = make_classification(X, rng.integers(0, 2, size=10))
-        out = apply_standardization(ds, standardization_stats(ds, np.arange(10)))
+    @pytest.mark.parametrize("value, n", [(7.0, 10), (100000000.1, 1000), (123456.789, 1000)])
+    def test_constant_column_zeroed(self, rng, value, n):
+        # Far from 0, rounding in the mean leaves a constant column a tiny
+        # nonzero std; it must still map to 0, whatever the pool size.
+        X = rng.normal(size=(n, 2))
+        X[:, 1] = value
+        ds = make_classification(X, rng.integers(0, 2, size=n))
+        out = apply_standardization(ds, standardization_stats(ds, np.arange(n)))
         assert (out.features[:, 1] == 0.0).all()
 
     def test_onehot_columns_skipped_unless_requested(self):
@@ -429,6 +448,10 @@ class TestPca:
         a = pca_fit(X, 4).explained_variance_ratio
         b = pca_fit(X * 37.0, 4).explained_variance_ratio
         assert b == pytest.approx(a, rel=1e-9)
+        # Power-of-two scales are exact, so the ratios must be too, however
+        # small the total variance.
+        for scale in (2.0**-40, 2.0**40):
+            assert pca_fit(X * scale, 4).explained_variance_ratio.tolist() == a.tolist()
 
     def test_wide_matrix_path_matches_covariance_eigh(self, rng):
         # d > max(n, 128) exercises the Gram-matrix route; check it against

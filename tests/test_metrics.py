@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from dci_lab.metrics import (
-    DecileBucket,
     DecileReport,
     accuracy,
     auroc,
@@ -134,17 +133,7 @@ class TestDecileAnalysis:
 
     @staticmethod
     def _report(count, accuracies):
-        return DecileReport(
-            buckets=tuple(
-                DecileBucket(
-                    percentile_lo=10.0 * i,
-                    percentile_hi=10.0 * (i + 1),
-                    count=count,
-                    accuracy=float(acc),
-                )
-                for i, acc in enumerate(accuracies)
-            )
-        )
+        return DecileReport(np.full(10, count), np.asarray(accuracies, dtype=np.float64))
 
     def test_average_reports(self):
         a = self._report(2, np.linspace(0.0, 0.9, 10))
