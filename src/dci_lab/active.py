@@ -40,10 +40,13 @@ STRATEGY_TAGS = (RANDOM, DCI_HIGH, DCI_LOW, MODEL_UNCERTAINTY)
 
 METRICS = ("auroc", "accuracy", "rmse")
 
-# Sub-stream constants separating the experiment's RNG consumers.
+# Sub-stream ids separating the RNG consumers of a simulation and of the
+# CLI's analyze command.
 _STREAM_SPLIT = 0
 _STREAM_SELECT = 1
 _STREAM_MODEL = 2
+_STREAM_ANALYZE_SPLIT = 3
+_STREAM_ANALYZE_MODEL = 4
 
 # Pool rows per block when carrying neighbour lists across a boundary.
 _ROW_BLOCK = 256
@@ -54,14 +57,13 @@ class Strategy:
     """How the next pool point is chosen.
 
     ``kind`` names the model-uncertainty formula and is present exactly for
-    the model-uncertainty tag; ``dci_params`` is present exactly for the
-    impurity tags, which score in a PCA feature space refit at each model
-    update when ``pca_components`` is positive.
+    the model-uncertainty tag. The impurity tags score with the experiment's
+    ``dci`` parameters, in a PCA feature space refit at each model update
+    when ``pca_components`` is positive.
     """
 
     tag: str
     kind: str | None = None
-    dci_params: DciParams | None = None
     pca_components: int = 0
 
     def __post_init__(self) -> None:
@@ -71,8 +73,6 @@ class Strategy:
             raise ValueError("kind is required for model-uncertainty and only there")
         if self.kind is not None and self.kind not in UNCERTAINTY:
             raise ValueError(f"unknown uncertainty kind {self.kind!r}")
-        if (self.dci_params is not None) != (self.tag in (DCI_HIGH, DCI_LOW)):
-            raise ValueError("dci_params is required for dci strategies and only there")
         if self.pca_components < 0:
             raise ValueError("pca_components must be non-negative")
         if self.pca_components and self.tag not in (DCI_HIGH, DCI_LOW):
@@ -103,24 +103,26 @@ def check_uncertainty(kind: str, ds: Dataset, model: ModelConfig) -> None:
         raise ValueError("mean_std requires at least 2 ensemble members")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ExperimentConfig:
     """One experiment: every strategy runs the same schedule on each seed.
 
     ``strategies`` may be given as any sequence and is kept as a tuple;
-    their labels name the curves, so no two may share one.
+    their labels name the curves, so no two may share one. The impurity
+    strategies all score with ``dci``.
     """
 
     dataset: Dataset
     strategies: tuple[Strategy, ...]
     model: ModelConfig = field(default_factory=ModelConfig)
-    metric: str = "accuracy"
-    initial_train_size: int = 10
+    dci: DciParams = field(default_factory=DciParams)
+    metric: str
+    initial_train_size: int
     additions_per_update: int = 1
     n_updates: int = 0
     n_seeds: int = 1
     candidate_batch_size: int = 5
-    test_size: int = 1
+    test_size: int
 
     def __post_init__(self) -> None:
         ds = self.dataset
@@ -216,8 +218,9 @@ def select_next(
     return int(candidates[np.argmax(score(candidates))])
 
 
-def _model_seed(seed: int, update: int) -> int:
-    return int(np.random.SeedSequence([seed, _STREAM_MODEL, update]).generate_state(1)[0])
+def stream_seed(seed: int, stream: int, index: int) -> int:
+    """The integer seed of draw ``index`` of sub-stream ``stream`` under ``seed``."""
+    return int(np.random.SeedSequence([seed, stream, index]).generate_state(1)[0])
 
 
 def seed_split(config: ExperimentConfig, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -297,7 +300,7 @@ def _committees(
     in one call; None each for the kNN model, which fits nothing."""
     if config.model.kind != "ensemble":
         return [None] * len(labelled)
-    fitted = fit_ensemble(config.dataset, config.model, _model_seed(seed, update), rows=labelled)
+    fitted = fit_ensemble(config.dataset, config.model, stream_seed(seed, _STREAM_MODEL, update), rows=labelled)
     return fitted.committees(len(labelled))
 
 
@@ -416,9 +419,7 @@ def _curve(
         else:
             ref, query = lab_X[:n_lab], ds.features[cands]
             q_sq, ref_sq = pool_sq[cands], pool_sq[lab]
-        (scores,) = pool_scores(
-            ref, codes[lab], n_classes, query, [strategy.dci_params], q_sq=q_sq, ref_sq=ref_sq
-        )
+        (scores,) = pool_scores(ref, codes[lab], n_classes, query, [config.dci], q_sq=q_sq, ref_sq=ref_sq)
         # dci-low takes the lowest score: argmax(-s) is argmin(s), ties included.
         return -scores if strategy.tag == DCI_LOW else scores
 

@@ -21,25 +21,17 @@ import numpy as np
 
 from . import __version__, synthetic
 from .active import (
-    ExperimentConfig,
+    _STREAM_ANALYZE_MODEL,
+    _STREAM_ANALYZE_SPLIT,
     aggregate,
     check_uncertainty,
     run_many,
     seed_split,
+    stream_seed,
     write_curves_csv,
     write_summary_csv,
 )
-from .config import (
-    PRESETS,
-    Cfg,
-    ConfigError,
-    build_dci_params,
-    build_grid,
-    build_model_config,
-    load_config,
-    merge_config,
-    parse_strategies,
-)
+from .config import PRESETS, Cfg, ConfigError, build, load_config, merge_config, parse_strategies
 from .dataset import (
     DataError,
     Dataset,
@@ -139,7 +131,7 @@ def _read_query_matrix(path: str, n_features: int) -> np.ndarray:
 
 def cmd_score(cfg: Cfg, out_dir: Path) -> None:
     ds, stats = prepare_dataset(cfg)
-    params = build_dci_params(cfg)
+    params = build(cfg, "dci")
     Q = _read_query_matrix(cfg.str("score.query"), ds.n_features)
     if stats is not None:
         mean, inv = stats
@@ -152,30 +144,17 @@ def cmd_grid(cfg: Cfg, out_dir: Path) -> None:
     ds, _ = prepare_dataset(cfg)
     if ds.n_features != 2:
         raise DataError(f"grid rendering needs 2 feature columns, got {ds.n_features}")
-    grid = build_grid(cfg)
-    field = dci_field(ds, grid, build_dci_params(cfg))
+    grid = build(cfg, "grid")
+    field = dci_field(ds, grid, build(cfg, "dci"))
     write_field_csv(out_dir / "field.csv", grid, field)
 
 
 def cmd_simulate(cfg: Cfg, out_dir: Path, seed: int, threads: int) -> None:
     ds, _ = prepare_dataset(cfg)
-    params = build_dci_params(cfg)
-    model = build_model_config(cfg)
-    try:
-        exp = ExperimentConfig(
-            dataset=ds,
-            strategies=parse_strategies(cfg, params),
-            model=model,
-            metric=cfg.str("experiment.metric", choices=("auroc", "accuracy", "rmse")),
-            initial_train_size=cfg.int("experiment.initial_train_size"),
-            additions_per_update=cfg.int("experiment.additions_per_update", 1),
-            n_updates=cfg.int("experiment.n_updates", 0),
-            n_seeds=cfg.int("experiment.n_seeds", 1),
-            candidate_batch_size=cfg.int("experiment.candidate_batch_size", 5),
-            test_size=cfg.int("experiment.test_size"),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    exp = build(
+        cfg, "experiment", dataset=ds, dci=build(cfg, "dci"), model=build(cfg, "model"),
+        strategies=parse_strategies(cfg),
+    )
     for s in range(seed, seed + exp.n_seeds):
         if exp.metric == "auroc" and np.unique(ds.labels[seed_split(exp, s)[0]]).size < 2:
             raise ConfigError(
@@ -196,15 +175,11 @@ def cmd_simulate(cfg: Cfg, out_dir: Path, seed: int, threads: int) -> None:
     (out_dir / "manifest.json").write_text(text, encoding="utf-8")
 
 
-def _analyze_seed(seed: int, split: int) -> int:
-    return int(np.random.SeedSequence([seed, 4, split]).generate_state(1)[0])
-
-
 def cmd_analyze(cfg: Cfg, out_dir: Path, seed: int) -> None:
     ds, _ = prepare_dataset(cfg)
     if not ds.is_classification:
         raise ConfigError("analyze needs a class label (accuracy per decile)")
-    model = build_model_config(cfg)
+    model = build(cfg, "model")
     if model.kind != "ensemble":
         raise ConfigError("analyze scores committee uncertainties; use the ensemble model")
     train_sizes = cfg.ints("analyze.train_sizes", "10,15,20,50")
@@ -219,7 +194,7 @@ def cmd_analyze(cfg: Cfg, out_dir: Path, seed: int) -> None:
         raise ConfigError("analyze.n_splits must be at least 1")
     if test_size < 0 or 0 < test_size < 10:
         raise ConfigError("analyze.test_size must be 0 (every row outside the split) or at least 10")
-    base = build_dci_params(cfg)
+    base = build(cfg, "dci")
     try:
         for kind in kinds:
             check_uncertainty(kind, ds, model)
@@ -241,9 +216,10 @@ def cmd_analyze(cfg: Cfg, out_dir: Path, seed: int) -> None:
     sizes = list(dict.fromkeys(train_sizes))
     reports = {(size, label): [] for size in sizes for label in [*(lab for lab, _ in dci_cells), *kinds]}
     for split in range(n_splits):
-        rng = np.random.default_rng([seed, 3, split])
+        rng = np.random.default_rng([seed, _STREAM_ANALYZE_SPLIT, split])
         perm = rng.permutation(ds.n_rows)
-        fitted = fit_ensemble(ds, model, _analyze_seed(seed, split), rows=[perm[:size] for size in sizes])
+        model_seed = stream_seed(seed, _STREAM_ANALYZE_MODEL, split)
+        fitted = fit_ensemble(ds, model, model_seed, rows=[perm[:size] for size in sizes])
         for size, ens in zip(sizes, fitted.committees(len(sizes))):
             train_idx = perm[:size]
             end = size + test_size if test_size else ds.n_rows

@@ -4,14 +4,20 @@ Config files hold one `dotted.key = value` pair per line, with # comments.
 A preset supplies a complete base configuration; keys from a user config
 file override it one by one, so a preset plus a two-line file is a full
 experiment description that diffs cleanly.
+
+The `dci.*`, `model.*`, `grid.*` and `experiment.*` keys are the fields of
+the classes in :data:`SECTIONS`, read by :func:`build` with each field's
+type and default; the `data.*`, `score.*` and `analyze.*` keys and
+`strategies` are read by the commands through :class:`Cfg`.
 """
 
 from __future__ import annotations
 
 import re
+from dataclasses import MISSING, fields
 from pathlib import Path
 
-from .active import Strategy
+from .active import ExperimentConfig, Strategy
 from .dci import DciParams, GridSpec
 from .models import ModelConfig
 
@@ -20,8 +26,26 @@ class ConfigError(Exception):
     """Raised for unknown keys, bad values or inconsistent settings."""
 
 
+SECTIONS = {"dci": DciParams, "model": ModelConfig, "grid": GridSpec, "experiment": ExperimentConfig}
+
+# How :func:`build` reads a field of each annotation it parses: the parser
+# and what a value it rejects must be instead. The annotations are strings,
+# since the modules of SECTIONS postpone their evaluation.
+_FIELD_TYPES = {
+    "int": (int, "an integer"),
+    "float": (float, "a number"),
+    "str": (str, "a string"),
+    "int | None": (lambda raw: None if raw.lower() == "none" else int(raw), "an integer or none"),
+}
+
 KNOWN_KEYS = frozenset(
     {
+        f"{section}.{f.name}"
+        for section, cls in SECTIONS.items()
+        for f in fields(cls)
+        if f.type in _FIELD_TYPES
+    }
+    | {
         "data.source",
         "data.name",
         "data.n",
@@ -35,27 +59,6 @@ KNOWN_KEYS = frozenset(
         "data.one_hot",
         "data.standardize",
         "data.standardize_onehot",
-        "dci.k",
-        "dci.alpha",
-        "dci.beta",
-        "dci.epsilon",
-        "grid.x_min",
-        "grid.x_max",
-        "grid.y_min",
-        "grid.y_max",
-        "grid.resolution",
-        "model.kind",
-        "model.n_trees",
-        "model.max_depth",
-        "model.min_leaf",
-        "model.knn_k",
-        "experiment.metric",
-        "experiment.initial_train_size",
-        "experiment.additions_per_update",
-        "experiment.n_updates",
-        "experiment.n_seeds",
-        "experiment.candidate_batch_size",
-        "experiment.test_size",
         "strategies",
         "score.query",
         "analyze.train_sizes",
@@ -250,9 +253,6 @@ class Cfg:
     def int(self, key: str, default: object = _REQUIRED) -> int:
         return self.get(key, default, int, "an integer")
 
-    def float(self, key: str, default: object = _REQUIRED) -> float:
-        return self.get(key, default, float, "a number")
-
     def bool(self, key: str, default: bool) -> bool:
         return self.get(key, default, lambda raw: {"true": True, "false": False}[raw.lower()], "true or false")
 
@@ -275,43 +275,20 @@ class Cfg:
         return self._items(key, default, int, "integers")
 
 
-def build_dci_params(cfg: Cfg) -> DciParams:
+def build(cfg: Cfg, section: str, **given):
+    """The ``SECTIONS[section]`` object of the fields in ``given`` and the
+    ``<section>.<field>`` keys of ``cfg`` for the rest.
+
+    A field of a parsed annotation whose key is absent keeps its default, or
+    is a missing required key if it has none.
+    """
+    cls = SECTIONS[section]
+    for f in fields(cls):
+        if f.name not in given and f.type in _FIELD_TYPES:
+            default = _REQUIRED if f.default is MISSING else f.default
+            given[f.name] = cfg.get(f"{section}.{f.name}", default, *_FIELD_TYPES[f.type])
     try:
-        return DciParams(
-            k=cfg.int("dci.k", 20),
-            alpha=cfg.float("dci.alpha", 1.5),
-            beta=cfg.float("dci.beta", 1.2),
-            epsilon=cfg.float("dci.epsilon", 1e-12),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def build_model_config(cfg: Cfg) -> ModelConfig:
-    try:
-        return ModelConfig(
-            kind=cfg.str("model.kind", "ensemble", choices=("ensemble", "knn")),
-            n_trees=cfg.int("model.n_trees", 10),
-            max_depth=cfg.get(
-                "model.max_depth", None, lambda raw: None if raw.lower() == "none" else int(raw),
-                "an integer or none",
-            ),
-            min_leaf=cfg.int("model.min_leaf", 1),
-            knn_k=cfg.int("model.knn_k", 5),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def build_grid(cfg: Cfg) -> GridSpec:
-    try:
-        return GridSpec(
-            x_min=cfg.float("grid.x_min"),
-            x_max=cfg.float("grid.x_max"),
-            y_min=cfg.float("grid.y_min"),
-            y_max=cfg.float("grid.y_max"),
-            resolution=cfg.int("grid.resolution", 100),
-        )
+        return cls(**given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -319,20 +296,14 @@ def build_grid(cfg: Cfg) -> GridSpec:
 _PCA_LABEL = re.compile(r"^(dci-high|dci-low)-pca([1-9]\d*)$")
 
 
-def parse_strategy(label: str, dci_params: DciParams) -> Strategy:
+def parse_strategy(label: str) -> Strategy:
     """Build a Strategy from its config label (the same string it reports)."""
     try:
-        if label == "random":
-            return Strategy(tag="random")
-        if label in ("dci-high", "dci-low"):
-            return Strategy(tag=label, dci_params=dci_params)
+        if label in ("random", "dci-high", "dci-low"):
+            return Strategy(tag=label)
         m = _PCA_LABEL.match(label)
         if m:
-            return Strategy(
-                tag=m.group(1),
-                dci_params=dci_params,
-                pca_components=int(m.group(2)),
-            )
+            return Strategy(tag=m.group(1), pca_components=int(m.group(2)))
         if label.startswith("uncertainty-"):
             return Strategy(tag="model-uncertainty", kind=label[len("uncertainty-") :])
     except ValueError as exc:
@@ -343,6 +314,5 @@ def parse_strategy(label: str, dci_params: DciParams) -> Strategy:
     )
 
 
-def parse_strategies(cfg: Cfg, dci_params: DciParams) -> tuple[Strategy, ...]:
-    labels = cfg.list("strategies", "random,dci-high")
-    return tuple(parse_strategy(label, dci_params) for label in labels)
+def parse_strategies(cfg: Cfg) -> tuple[Strategy, ...]:
+    return tuple(parse_strategy(label) for label in cfg.list("strategies", "random,dci-high"))

@@ -320,18 +320,20 @@ def load_csv(path: str | Path, specs: Sequence[ColumnSpec]) -> Dataset:
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable[object]]) -> None:
-    """Write a header line and one comma-joined line per row.
+    """Write a header line and one comma-separated line per row.
 
     This is the byte format of every CSV the package writes: floats (Python
     or NumPy) with 9 significant digits and -0 as 0, every other value
-    through ``str``, UTF-8 with LF line ends and a final newline.
+    through ``str``, a cell holding a comma, a double quote or a newline
+    quoted, UTF-8 with LF line ends and a final newline.
     """
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            format(v + 0.0, ".9g") if isinstance(v, (float, np.floating)) else str(v) for v in row
-        ))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        out = csv.writer(fh, lineterminator="\n")
+        out.writerow(header)
+        out.writerows(
+            [format(v + 0.0, ".9g") if isinstance(v, (float, np.floating)) else str(v) for v in row]
+            for row in rows
+        )
 
 
 def _read_be_u32(buf: bytes, offset: int, path: str | Path) -> int:
@@ -340,12 +342,24 @@ def _read_be_u32(buf: bytes, offset: int, path: str | Path) -> int:
     return struct.unpack_from(">I", buf, offset)[0]
 
 
-def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
-    """Load an IDX image/label file pair into a flat pixel dataset.
+def pixel_dataset(images: np.ndarray, labels: np.ndarray) -> Dataset:
+    """uint8 images, one per label, as a flat pixel table: columns px0, px1,
+    ... scaled to [0, 1], and class ids with names "0".."9" (or up to the
+    largest label if beyond 9)."""
+    features = images.reshape(len(labels), -1).astype(np.float64)
+    features /= 255.0  # in place: one pool-sized array, not two
+    specs = tuple(ColumnSpec(f"px{i}", KIND_NUMERIC) for i in range(features.shape[1]))
+    return Dataset(
+        features=features,
+        labels=labels,
+        column_specs=specs + (ColumnSpec("label", KIND_LABEL_CLASS),),
+        class_names=tuple(str(i) for i in range(max(10, int(labels.max()) + 1))),
+    )
 
-    Pixels are scaled to [0, 1]; labels become class ids with names "0".."9"
-    (or up to the maximum label seen if beyond 9).
-    """
+
+def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
+    """Load an IDX image/label file pair into a flat pixel dataset, as
+    :func:`pixel_dataset` builds it."""
     img_buf = Path(images_path).read_bytes()
     magic = _read_be_u32(img_buf, 0, images_path)
     if magic != IDX_IMAGES_MAGIC:
@@ -372,18 +386,7 @@ def load_idx(images_path: str | Path, labels_path: str | Path) -> Dataset:
     if len(lab_buf) < 8 + count:
         raise DataError(f"{labels_path}: truncated file")
     labels = np.frombuffer(lab_buf, dtype=np.uint8, count=count, offset=8).astype(np.int64)
-
-    features = pixels.reshape(count, rows * cols).astype(np.float64)
-    features /= 255.0  # in place: one pool-sized array, not two
-    n_classes = max(10, int(labels.max()) + 1)
-    specs = tuple(ColumnSpec(f"px{i}", KIND_NUMERIC) for i in range(rows * cols))
-    specs = specs + (ColumnSpec("label", KIND_LABEL_CLASS),)
-    return Dataset(
-        features=features,
-        labels=labels,
-        column_specs=specs,
-        class_names=tuple(str(i) for i in range(n_classes)),
-    )
+    return pixel_dataset(pixels, labels)
 
 
 def write_idx(

@@ -20,6 +20,7 @@ from .dataset import (
     KIND_NUMERIC,
     ColumnSpec,
     Dataset,
+    pixel_dataset,
     write_csv,
 )
 
@@ -171,16 +172,7 @@ def digit_images(n: int = 600, seed: int = 3) -> tuple[np.ndarray, np.ndarray]:
 
 def digits_dataset(n: int = 600, seed: int = 3) -> Dataset:
     """:func:`digit_images` flattened to a [0, 1] pixel classification table."""
-    images, labels = digit_images(n, seed)
-    features = images.reshape(n, -1).astype(np.float64) / 255.0
-    specs = tuple(ColumnSpec(f"px{i}", KIND_NUMERIC) for i in range(features.shape[1]))
-    specs = specs + (ColumnSpec("label", KIND_LABEL_CLASS),)
-    return Dataset(
-        features=features,
-        labels=labels,
-        column_specs=specs,
-        class_names=tuple(str(i) for i in range(10)),
-    )
+    return pixel_dataset(*digit_images(n, seed))
 
 
 def write_dataset_csv(ds: Dataset, path) -> None:

@@ -165,11 +165,10 @@ def test_04_field_trends_track_beta_and_alpha():
 def test_05_wine_selection_beats_random_and_low_score_selection():
     ds = wine_quality(1599, 5)
     ds = apply_standardization(ds, standardization_stats(ds, np.arange(1599)))
-    params = DciParams(k=20, alpha=1.5, beta=1.2)
     strategies = {
-        "high": Strategy(tag="dci-high", dci_params=params),
+        "high": Strategy(tag="dci-high"),
         "random": Strategy(tag="random"),
-        "low": Strategy(tag="dci-low", dci_params=params),
+        "low": Strategy(tag="dci-low"),
     }
     # One experiment holds every strategy, as the CLI runs them: each seed
     # fits its first committee once and grows each boundary's committees
@@ -178,6 +177,7 @@ def test_05_wine_selection_beats_random_and_low_score_selection():
         dataset=ds,
         strategies=tuple(strategies.values()),
         model=ModelConfig(kind="ensemble", n_trees=100, min_leaf=5),
+        dci=DciParams(k=20, alpha=1.5, beta=1.2),
         metric="rmse",
         initial_train_size=200,
         additions_per_update=10,
@@ -207,16 +207,16 @@ def test_05_wine_selection_beats_random_and_low_score_selection():
 
 
 def test_06_census_selection_ordering_and_committee_agreement(census_pool):
-    params = DciParams(k=20, alpha=1.5, beta=1.2)
     strategies = {
-        "high": Strategy(tag="dci-high", dci_params=params),
-        "low": Strategy(tag="dci-low", dci_params=params),
+        "high": Strategy(tag="dci-high"),
+        "low": Strategy(tag="dci-low"),
         "committee": Strategy(tag="model-uncertainty", kind="eq3_binary"),
     }
     config = ExperimentConfig(
         dataset=census_pool,
         strategies=tuple(strategies.values()),
         model=ModelConfig(kind="ensemble", n_trees=10),
+        dci=DciParams(k=20, alpha=1.5, beta=1.2),
         metric="auroc",
         initial_train_size=400,
         additions_per_update=50,

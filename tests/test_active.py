@@ -34,7 +34,7 @@ def two_blob_dataset(rng, n_per=40, gap=8.0):
 class TestStrategy:
     def test_pairing_rules(self):
         Strategy(tag="random")
-        Strategy(tag="dci-high", dci_params=DciParams())
+        Strategy(tag="dci-high")
         Strategy(tag="model-uncertainty", kind="max_prob")
         with pytest.raises(ValueError):
             Strategy(tag="greedy")
@@ -45,20 +45,18 @@ class TestStrategy:
         with pytest.raises(ValueError):
             Strategy(tag="model-uncertainty", kind="entropy")
         with pytest.raises(ValueError):
-            Strategy(tag="dci-high")
-        with pytest.raises(ValueError):
             Strategy(tag="random", pca_components=3)
         with pytest.raises(ValueError):
-            Strategy(tag="dci-high", dci_params=DciParams(), pca_components=-1)
+            Strategy(tag="dci-high", pca_components=-1)
 
     def test_labels(self):
         assert Strategy(tag="random").label == "random"
-        assert Strategy(tag="dci-low", dci_params=DciParams()).label == "dci-low"
+        assert Strategy(tag="dci-low").label == "dci-low"
         assert (
             Strategy(tag="model-uncertainty", kind="eq3_binary").label
             == "uncertainty-eq3_binary"
         )
-        pca = Strategy(tag="dci-high", dci_params=DciParams(), pca_components=20)
+        pca = Strategy(tag="dci-high", pca_components=20)
         assert pca.label == "dci-high-pca20"
 
 
@@ -134,14 +132,11 @@ class TestExperimentConfigValidation:
             )
 
     def test_strategies_are_nonempty_with_unique_labels(self, rng):
-        high = Strategy(tag="dci-high", dci_params=DciParams(k=3))
+        high = Strategy(tag="dci-high")
         with pytest.raises(ValueError, match="at least one"):
             self.base(rng, strategies=())
         with pytest.raises(ValueError, match="duplicates"):
             self.base(rng, strategies=(high, Strategy(tag="random"), high))
-        # Labels name the curves, so one label with other parameters is a duplicate too.
-        with pytest.raises(ValueError, match="duplicates"):
-            self.base(rng, strategies=(high, Strategy(tag="dci-high", dci_params=DciParams(k=5))))
         config = self.base(rng, strategies=[Strategy(tag="random"), high])
         assert config.strategies == (Strategy(tag="random"), high)
 
@@ -211,8 +206,9 @@ class TestRunExperiment:
     def config(self, rng, **kw):
         defaults = dict(
             dataset=two_blob_dataset(rng),
-            strategies=(Strategy(tag="dci-high", dci_params=DciParams(k=5)),),
+            strategies=(Strategy(tag="dci-high"),),
             model=ModelConfig(kind="knn", knn_k=3),
+            dci=DciParams(k=5),
             metric="accuracy",
             initial_train_size=8,
             additions_per_update=3,
@@ -250,7 +246,7 @@ class TestRunExperiment:
         assert curve.values[-1] >= 0.9  # two blobs 8 sigma apart
 
     def test_pca_feature_space_runs(self, rng):
-        strat = Strategy(tag="dci-high", dci_params=DciParams(k=5), pca_components=2)
+        strat = Strategy(tag="dci-high", pca_components=2)
         (curve,) = run_experiment(self.config(rng, strategies=(strat,)), seed=2)
         assert curve.strategy == "dci-high-pca2"
         assert len(curve.points) == 5
@@ -312,6 +308,7 @@ class TestKnnTestLists:
         X = np.round(np.concatenate([rng.normal(size=(60, 3)), rng.normal(size=(60, 3)) + 1.0]))
         settings = dict(
             model=ModelConfig(kind="knn", knn_k=5),
+            dci=DciParams(k=4),
             metric="accuracy",
             initial_train_size=3,
             additions_per_update=2,
@@ -327,7 +324,7 @@ class TestKnnTestLists:
         "strategy",
         [
             Strategy(tag="random"),
-            Strategy(tag="dci-high", dci_params=DciParams(k=4)),
+            Strategy(tag="dci-high"),
             Strategy(tag="model-uncertainty", kind="max_prob"),
         ],
     )
@@ -392,8 +389,9 @@ class TestKnnTestLists:
         ds = make_regression(X, X[:, 0] * 3.0 + rng.normal(size=150))
         config = ExperimentConfig(
             dataset=ds,
-            strategies=(Strategy(tag="dci-high", dci_params=DciParams(k=6)),),
+            strategies=(Strategy(tag="dci-high"),),
             model=ModelConfig(kind="knn", knn_k=9),
+            dci=DciParams(k=6),
             metric="rmse",
             initial_train_size=4,
             additions_per_update=7,
@@ -447,6 +445,7 @@ class TestRunMany:
             dataset=two_blob_dataset(rng),
             strategies=(Strategy(tag="random"),),
             model=ModelConfig(kind="knn", knn_k=3),
+            metric="accuracy",
             initial_train_size=5,
             additions_per_update=2,
             n_updates=1,
@@ -461,16 +460,15 @@ class TestRunMany:
 
 def all_strategies_config(ds, model, **schedule):
     """One config with a strategy of each kind."""
-    params = DciParams(k=3)
     strategies = [
         Strategy(tag="random"),
-        Strategy(tag="dci-high", dci_params=params),
-        Strategy(tag="dci-low", dci_params=params, pca_components=1),
+        Strategy(tag="dci-high"),
+        Strategy(tag="dci-low", pca_components=1),
         Strategy(tag="model-uncertainty", kind="max_prob"),
     ]
     if model.kind == "ensemble":
         strategies.append(Strategy(tag="model-uncertainty", kind="eq3_binary"))
-    return ExperimentConfig(dataset=ds, strategies=strategies, model=model, **schedule)
+    return ExperimentConfig(dataset=ds, strategies=strategies, model=model, dci=DciParams(k=3), **schedule)
 
 
 SCHEDULE = dict(initial_train_size=6, additions_per_update=3, n_updates=3, n_seeds=3, test_size=12)
@@ -504,7 +502,7 @@ class TestSharedStart:
             return grow(X, y, boots, *args)
 
         monkeypatch.setattr(models, "_grow_trees", counting_grow)
-        config = all_strategies_config(two_blob_dataset(rng), ModelConfig(n_trees=3), **SCHEDULE)
+        config = all_strategies_config(two_blob_dataset(rng), ModelConfig(n_trees=3), metric="accuracy", **SCHEDULE)
         run_many(config, base_seed=0)
         n_seeds, n_updates = SCHEDULE["n_seeds"], SCHEDULE["n_updates"]
         assert trees == ([3] + [3 * len(config.strategies)] * n_updates) * n_seeds

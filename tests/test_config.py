@@ -1,27 +1,54 @@
 """Config parsing, preset merging and typed access."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from dci_lab import models
-from dci_lab.active import ExperimentConfig, run_experiment
+from dci_lab.active import run_experiment
 from dci_lab.cli import prepare_dataset
 from dci_lab.config import (
     KNOWN_KEYS,
     PRESETS,
+    SECTIONS,
     Cfg,
     ConfigError,
-    build_dci_params,
-    build_grid,
-    build_model_config,
+    build,
     load_config,
     merge_config,
     parse_config,
     parse_strategies,
     parse_strategy,
 )
-from dci_lab.dci import DciParams
 from dci_lab.models import ensemble_binary_uncertainty, fit_ensemble, predict
+
+# Every config key, written out: a renamed field, or an annotation that
+# build does not parse, must show up here rather than add or drop a key.
+ALL_KEYS = {
+    "data.source", "data.name", "data.n", "data.seed", "data.csv", "data.colspec", "data.images",
+    "data.labels", "data.subsample", "data.subsample_seed", "data.one_hot", "data.standardize",
+    "data.standardize_onehot",
+    "dci.k", "dci.alpha", "dci.beta", "dci.epsilon",
+    "grid.x_min", "grid.x_max", "grid.y_min", "grid.y_max", "grid.resolution",
+    "model.kind", "model.n_trees", "model.max_depth", "model.min_leaf", "model.knn_k",
+    "experiment.metric", "experiment.initial_train_size", "experiment.additions_per_update",
+    "experiment.n_updates", "experiment.n_seeds", "experiment.candidate_batch_size", "experiment.test_size",
+    "strategies", "score.query",
+    "analyze.train_sizes", "analyze.n_splits", "analyze.test_size", "analyze.alphas", "analyze.betas",
+    "analyze.kinds",
+}
+
+# The fields that cmd_simulate passes to build rather than reads from keys.
+SUPPLIED = {"experiment": {"dataset", "strategies", "model", "dci"}}
+
+
+def build_experiment(cfg, ds):
+    """The ExperimentConfig of ``cfg`` on the pool ``ds``, as cmd_simulate builds it."""
+    return build(
+        cfg, "experiment", dataset=ds, dci=build(cfg, "dci"), model=build(cfg, "model"),
+        strategies=parse_strategies(cfg),
+    )
 
 
 class TestParseConfig:
@@ -62,10 +89,10 @@ class TestMergeConfig:
     def test_presets_build_cleanly(self):
         for preset in PRESETS.values():
             cfg = Cfg(dict(preset))
-            params = build_dci_params(cfg)
-            build_model_config(cfg)
-            strategies = parse_strategies(cfg, params)
-            assert strategies
+            ds, _ = prepare_dataset(cfg)
+            exp = build_experiment(cfg, ds)
+            assert [s.label for s in exp.strategies] == cfg.list("strategies")
+            assert exp.n_seeds == int(preset["experiment.n_seeds"])
 
 
 class TestCfgAccessors:
@@ -73,7 +100,6 @@ class TestCfgAccessors:
         cfg = Cfg(
             {
                 "dci.k": "5",
-                "dci.alpha": "1.5",
                 "data.one_hot": "false",
                 "strategies": "a, b ,c",
                 "analyze.alphas": "1,2.5",
@@ -81,7 +107,6 @@ class TestCfgAccessors:
             }
         )
         assert cfg.int("dci.k") == 5
-        assert cfg.float("dci.alpha") == 1.5
         assert cfg.bool("data.one_hot", True) is False
         assert cfg.bool("data.standardize", True) is True
         assert cfg.list("strategies") == ["a", "b", "c"]
@@ -90,13 +115,13 @@ class TestCfgAccessors:
         assert cfg.str("missing", "fallback") == "fallback"
 
     def test_errors(self):
-        cfg = Cfg({"dci.k": "many", "data.one_hot": "yes", "experiment.metric": "f1"})
+        cfg = Cfg({"dci.k": "many", "data.one_hot": "yes", "data.source": "sql"})
         with pytest.raises(ConfigError):
             cfg.int("dci.k")
         with pytest.raises(ConfigError):
             cfg.bool("data.one_hot", True)
         with pytest.raises(ConfigError):
-            cfg.str("experiment.metric", choices=("auroc", "accuracy"))
+            cfg.str("data.source", choices=("synthetic", "csv"))
         with pytest.raises(ConfigError):
             cfg.str("score.query")
         with pytest.raises(ConfigError):
@@ -104,62 +129,88 @@ class TestCfgAccessors:
 
 
 class TestBuilders:
+    def test_known_keys(self):
+        assert KNOWN_KEYS == ALL_KEYS
+
+    def test_every_field_is_parsed_or_supplied(self):
+        for section, cls in SECTIONS.items():
+            parsed = {key.partition(".")[2] for key in KNOWN_KEYS if key.startswith(f"{section}.")}
+            supplied = SUPPLIED.get(section, set())
+            assert not parsed & supplied, section
+            assert {f.name for f in fields(cls)} == parsed | supplied, section
+
     def test_dci_params_defaults_and_errors(self):
-        params = build_dci_params(Cfg({}))
-        assert (params.k, params.alpha, params.beta) == (20, 1.5, 1.2)
-        with pytest.raises(ConfigError):
-            build_dci_params(Cfg({"dci.alpha": "-1"}))
+        params = build(Cfg({}), "dci")
+        assert (params.k, params.alpha, params.beta, params.epsilon) == (20, 1.5, 1.2, 1e-12)
+        assert build(Cfg({"dci.alpha": "2", "dci.k": "7"}), "dci") == replace(params, alpha=2.0, k=7)
+        with pytest.raises(ConfigError, match="alpha must be positive"):
+            build(Cfg({"dci.alpha": "-1"}), "dci")
+        with pytest.raises(ConfigError, match=r"dci.alpha must be a number \(got 'x'\)"):
+            build(Cfg({"dci.alpha": "x"}), "dci")
+        with pytest.raises(ConfigError, match=r"dci.k must be an integer \(got '2.5'\)"):
+            build(Cfg({"dci.k": "2.5"}), "dci")
 
     def test_model_config_depth_parsing(self):
-        assert build_model_config(Cfg({})).max_depth is None
-        assert build_model_config(Cfg({"model.max_depth": "none"})).max_depth is None
-        assert build_model_config(Cfg({"model.max_depth": "4"})).max_depth == 4
-        with pytest.raises(ConfigError):
-            build_model_config(Cfg({"model.max_depth": "deep"}))
-        with pytest.raises(ConfigError):
-            build_model_config(Cfg({"model.kind": "svm"}))
+        assert build(Cfg({}), "model").max_depth is None
+        assert build(Cfg({"model.max_depth": "none"}), "model").max_depth is None
+        assert build(Cfg({"model.max_depth": "4"}), "model").max_depth == 4
+        with pytest.raises(ConfigError, match="an integer or none"):
+            build(Cfg({"model.max_depth": "deep"}), "model")
+        with pytest.raises(ConfigError, match="unknown model kind 'svm'"):
+            build(Cfg({"model.kind": "svm"}), "model")
 
     def test_grid_requires_bounds(self):
         cfg = Cfg(
             {"grid.x_min": "0", "grid.x_max": "1", "grid.y_min": "0", "grid.y_max": "2"}
         )
-        grid = build_grid(cfg)
+        grid = build(cfg, "grid")
         assert grid.resolution == 100
-        with pytest.raises(ConfigError):
-            build_grid(Cfg({"grid.x_min": "0"}))
+        with pytest.raises(ConfigError, match="missing required config key 'grid.x_max'"):
+            build(Cfg({"grid.x_min": "0"}), "grid")
+
+    def test_experiment_required_keys_and_errors(self):
+        ds = prepare_dataset(Cfg({"data.name": "three-class", "data.n": "30"}))[0]
+        keys = {"experiment.metric": "accuracy", "experiment.initial_train_size": "5", "experiment.test_size": "5"}
+        exp = build_experiment(Cfg(keys), ds)
+        assert (exp.metric, exp.initial_train_size, exp.test_size) == ("accuracy", 5, 5)
+        assert (exp.additions_per_update, exp.n_updates, exp.n_seeds, exp.candidate_batch_size) == (1, 0, 1, 5)
+        for key in keys:
+            others = {k: v for k, v in keys.items() if k != key}
+            with pytest.raises(ConfigError, match=f"missing required config key '{key}'"):
+                build_experiment(Cfg(others), ds)
+        with pytest.raises(ConfigError, match="unknown metric 'f1'"):
+            build_experiment(Cfg(dict(keys, **{"experiment.metric": "f1"})), ds)
 
 
 class TestStrategyLabels:
     def test_parse_individual_labels(self):
-        params = DciParams(k=9)
-        assert parse_strategy("random", params).tag == "random"
-        high = parse_strategy("dci-high", params)
-        assert high.tag == "dci-high" and high.dci_params.k == 9
-        pca = parse_strategy("dci-low-pca12", params)
+        assert parse_strategy("random").tag == "random"
+        high = parse_strategy("dci-high")
+        assert (high.tag, high.pca_components) == ("dci-high", 0)
+        pca = parse_strategy("dci-low-pca12")
         assert (pca.tag, pca.pca_components) == ("dci-low", 12)
-        unc = parse_strategy("uncertainty-mean_std", params)
+        unc = parse_strategy("uncertainty-mean_std")
         assert (unc.tag, unc.kind) == ("model-uncertainty", "mean_std")
         # labels round-trip: parsing a strategy's label reproduces it
         for label in ("random", "dci-high", "dci-low-pca12", "uncertainty-mean_std"):
-            assert parse_strategy(label, params).label == label
+            assert parse_strategy(label).label == label
 
     @pytest.mark.parametrize(
         "label", ["greedy", "uncertainty-entropy", "dci-high-pca", "dci-high-pca0"]
     )
     def test_rejects_unknown_labels(self, label):
         with pytest.raises(ConfigError):
-            parse_strategy(label, DciParams())
+            parse_strategy(label)
 
     def test_strategy_list_rules(self):
         # An empty or repeated list is rejected by ExperimentConfig, for
         # library and CLI callers alike (tests/test_active.py, tests/test_cli.py).
-        params = DciParams()
-        strategies = parse_strategies(Cfg({"strategies": "dci-low, uncertainty-max_prob"}), params)
+        strategies = parse_strategies(Cfg({"strategies": "dci-low, uncertainty-max_prob"}))
         assert [s.label for s in strategies] == ["dci-low", "uncertainty-max_prob"]
-        assert [s.label for s in parse_strategies(Cfg({}), params)] == ["random", "dci-high"]
-        assert parse_strategies(Cfg({"strategies": " , "}), params) == ()
+        assert [s.label for s in parse_strategies(Cfg({}))] == ["random", "dci-high"]
+        assert parse_strategies(Cfg({"strategies": " , "})) == ()
         with pytest.raises(ConfigError):
-            parse_strategies(Cfg({"strategies": "random,greedy"}), params)
+            parse_strategies(Cfg({"strategies": "random,greedy"}))
 
 
 class TestAdultPreset:
@@ -175,29 +226,20 @@ class TestAdultPreset:
         }
         cfg = Cfg(merge_config("adult", overrides))
         ds, _ = prepare_dataset(cfg)
-        return cfg, ds, build_model_config(cfg)
+        return build_experiment(cfg, ds)
 
     def test_eq3_binary_takes_many_values(self):
-        _, ds, model = self.small()
-        ens = fit_ensemble(ds.select_rows(np.arange(300)), model)
+        exp = self.small()
+        ds = exp.dataset
+        ens = fit_ensemble(ds.select_rows(np.arange(300)), exp.model)
         u = ensemble_binary_uncertainty(predict(ens, ds.features[300:]))
         assert np.unique(u).size > 1
 
     def test_uncertainty_curve_is_not_random_or_lowest_index(self, monkeypatch):
-        cfg, ds, model = self.small()
+        exp = self.small()
 
         def curve(label):
-            config = ExperimentConfig(
-                dataset=ds,
-                strategies=(parse_strategy(label, build_dci_params(cfg)),),
-                model=model,
-                metric=cfg.str("experiment.metric"),
-                initial_train_size=cfg.int("experiment.initial_train_size"),
-                additions_per_update=cfg.int("experiment.additions_per_update"),
-                n_updates=cfg.int("experiment.n_updates"),
-                test_size=cfg.int("experiment.test_size"),
-            )
-            return run_experiment(config, seed=0)[0].values
+            return run_experiment(replace(exp, strategies=(parse_strategy(label),)), seed=0)[0].values
 
         uncertainty = curve("uncertainty-eq3_binary")
         assert uncertainty != curve("random")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dci_lab.dataset import load_csv, one_hot, read_colspec
+from dci_lab.dataset import ColumnSpec, Dataset, load_csv, load_idx, one_hot, read_colspec, write_idx
 from dci_lab.synthetic import (
     census_income,
     digit_images,
@@ -63,7 +63,35 @@ class TestGenerators:
         assert not np.array_equal(a.features, c.features)
 
 
+class TestDigitsAsIdx:
+    def test_digits_equal_their_idx_files(self, tmp_path):
+        ds = digits_dataset(600, 3)
+        ip, lp = tmp_path / "img.idx", tmp_path / "lab.idx"
+        write_idx(*digit_images(600, 3), ip, lp)
+        back = load_idx(ip, lp)
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert back.labels.tobytes() == ds.labels.tobytes()
+        assert (back.column_specs, back.class_names) == (ds.column_specs, ds.class_names)
+
+
 class TestCsvRoundTrip:
+    def test_tokens_with_commas_and_quotes_are_quoted(self, tmp_path):
+        ds = Dataset(
+            features=np.array([[1.0, 0.0], [2.5, 1.0], [3.0, 0.0]]),
+            labels=np.array([0, 1, 1]),
+            column_specs=(ColumnSpec("x", "numeric"), ColumnSpec("cat", "categorical"), ColumnSpec("y", "label_class")),
+            class_names=('say "p"', "q"),
+            categories={"cat": ("a,b", "c")},
+        )
+        csv_path, spec_path = tmp_path / "t.csv", tmp_path / "t.spec"
+        write_dataset_csv(ds, csv_path)
+        write_colspec(ds, spec_path)
+        assert csv_path.read_text().splitlines()[1] == '1,"a,b","say ""p"""'
+        back = load_csv(csv_path, read_colspec(spec_path))
+        assert np.array_equal(back.features, ds.features)
+        assert np.array_equal(back.labels, ds.labels)
+        assert (back.class_names, back.categories) == (ds.class_names, ds.categories)
+
     def test_census_survives_write_and_load(self, tmp_path):
         ds = census_income(40, seed=3)
         csv_path, spec_path = tmp_path / "t.csv", tmp_path / "t.spec"
