@@ -1,7 +1,9 @@
 """Distance-weighted class impurity (DCI) scoring and a pool-based active-learning lab.
 
 The library is organised around small immutable value types (datasets,
-neighbor sets, parameter bundles) and pure functions over them:
+parameter bundles, tree ensembles) and pure functions over them; a
+neighbour list is a pair of index and distance arrays, and a selection
+strategy is its label, such as ``"dci-high-pca10"``:
 
 - ``dataset``: CSV/IDX loading, one-hot encoding, standardization, PCA.
 - ``neighbors``: exact brute-force k-nearest-neighbor search.
@@ -25,14 +27,13 @@ from dci_lab.dataset import (
     read_colspec,
     write_idx,
 )
-from dci_lab.neighbors import NeighborSet, knn, nearest_neighbors
+from dci_lab.neighbors import nearest_neighbors
 from dci_lab.dci import DciParams, GridSpec, dci_field, dci_scores, pool_scores
 from dci_lab.models import (
     ModelConfig,
     TreeEnsemble,
     ensemble_binary_uncertainty,
     fit_ensemble,
-    knn_predict,
     max_prob_uncertainty,
     mean_std_uncertainty,
     predict,
@@ -41,7 +42,6 @@ from dci_lab.models import (
 from dci_lab.active import (
     ExperimentConfig,
     LearningCurve,
-    Strategy,
     aggregate,
     run_experiment,
     run_many,
@@ -63,8 +63,6 @@ __all__ = [
     "pca_project",
     "read_colspec",
     "write_idx",
-    "NeighborSet",
-    "knn",
     "nearest_neighbors",
     "DciParams",
     "GridSpec",
@@ -75,14 +73,12 @@ __all__ = [
     "TreeEnsemble",
     "ensemble_binary_uncertainty",
     "fit_ensemble",
-    "knn_predict",
     "max_prob_uncertainty",
     "mean_std_uncertainty",
     "predict",
     "regression_std_uncertainty",
     "ExperimentConfig",
     "LearningCurve",
-    "Strategy",
     "aggregate",
     "run_experiment",
     "run_many",

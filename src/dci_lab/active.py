@@ -11,6 +11,7 @@ the live labelled set, which needs no training at all.
 
 from __future__ import annotations
 
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
@@ -36,7 +37,6 @@ RANDOM = "random"
 DCI_HIGH = "dci-high"
 DCI_LOW = "dci-low"
 MODEL_UNCERTAINTY = "model-uncertainty"
-STRATEGY_TAGS = (RANDOM, DCI_HIGH, DCI_LOW, MODEL_UNCERTAINTY)
 
 METRICS = ("auroc", "accuracy", "rmse")
 
@@ -52,39 +52,27 @@ _STREAM_ANALYZE_MODEL = 4
 _ROW_BLOCK = 256
 
 
-@dataclass(frozen=True)
-class Strategy:
-    """How the next pool point is chosen.
+def parse_strategy(label: str) -> tuple[str, str | None, int]:
+    """The (tag, uncertainty kind, PCA components) of a strategy label.
 
-    ``kind`` names the model-uncertainty formula and is present exactly for
-    the model-uncertainty tag. The impurity tags score with the experiment's
+    A label is ``random``, ``dci-high`` or ``dci-low``, an impurity label
+    with a ``-pcaN`` suffix, N >= 1, or ``uncertainty-<kind>`` with a kind
+    of :data:`UNCERTAINTY`. The impurity tags score with the experiment's
     ``dci`` parameters, in a PCA feature space refit at each model update
-    when ``pca_components`` is positive.
+    when N is given.
     """
-
-    tag: str
-    kind: str | None = None
-    pca_components: int = 0
-
-    def __post_init__(self) -> None:
-        if self.tag not in STRATEGY_TAGS:
-            raise ValueError(f"unknown strategy tag {self.tag!r}")
-        if (self.kind is not None) != (self.tag == MODEL_UNCERTAINTY):
-            raise ValueError("kind is required for model-uncertainty and only there")
-        if self.kind is not None and self.kind not in UNCERTAINTY:
-            raise ValueError(f"unknown uncertainty kind {self.kind!r}")
-        if self.pca_components < 0:
-            raise ValueError("pca_components must be non-negative")
-        if self.pca_components and self.tag not in (DCI_HIGH, DCI_LOW):
-            raise ValueError("pca feature space applies to dci strategies only")
-
-    @property
-    def label(self) -> str:
-        if self.tag == MODEL_UNCERTAINTY:
-            return f"uncertainty-{self.kind}"
-        if self.pca_components:
-            return f"{self.tag}-pca{self.pca_components}"
-        return self.tag
+    if label in (RANDOM, DCI_HIGH, DCI_LOW):
+        return label, None, 0
+    tag, _, n_pca = label.rpartition("-pca")
+    if tag in (DCI_HIGH, DCI_LOW) and re.fullmatch("[1-9][0-9]*", n_pca):
+        return tag, None, int(n_pca)
+    tag, _, kind = label.partition("-")
+    if tag == "uncertainty" and kind in UNCERTAINTY:
+        return MODEL_UNCERTAINTY, kind, 0
+    raise ValueError(
+        f"unknown strategy {label!r} (expected random, dci-high[-pcaN], dci-low[-pcaN] "
+        f"or uncertainty-<kind>, kind one of {', '.join(UNCERTAINTY)})"
+    )
 
 
 def check_uncertainty(kind: str, ds: Dataset, model: ModelConfig) -> None:
@@ -107,13 +95,13 @@ def check_uncertainty(kind: str, ds: Dataset, model: ModelConfig) -> None:
 class ExperimentConfig:
     """One experiment: every strategy runs the same schedule on each seed.
 
-    ``strategies`` may be given as any sequence and is kept as a tuple;
-    their labels name the curves, so no two may share one. The impurity
-    strategies all score with ``dci``.
+    ``strategies`` holds labels as :func:`parse_strategy` reads them, given
+    as any sequence and kept as a tuple; they name the curves, so no two
+    may be equal. The impurity strategies all score with ``dci``.
     """
 
     dataset: Dataset
-    strategies: tuple[Strategy, ...]
+    strategies: tuple[str, ...]
     model: ModelConfig = field(default_factory=ModelConfig)
     dci: DciParams = field(default_factory=DciParams)
     metric: str
@@ -127,11 +115,11 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         ds = self.dataset
         object.__setattr__(self, "strategies", tuple(self.strategies))
-        labels = [strategy.label for strategy in self.strategies]
-        if not labels:
+        if not self.strategies:
             raise ValueError("strategies must name at least one strategy")
-        if len(set(labels)) != len(labels):
+        if len(set(self.strategies)) != len(self.strategies):
             raise ValueError("strategies contains duplicates")
+        kinds = [parse_strategy(label)[1] for label in self.strategies]
         if self.metric not in METRICS:
             raise ValueError(f"unknown metric {self.metric!r}")
         if min(self.initial_train_size, self.candidate_batch_size, self.test_size) < 1:
@@ -152,9 +140,9 @@ class ExperimentConfig:
             raise ValueError(f"{self.metric} requires a class label")
         if self.metric == "auroc" and ds.class_count != 2:
             raise ValueError("auroc requires a binary label")
-        for strategy in self.strategies:
-            if strategy.tag == MODEL_UNCERTAINTY:
-                check_uncertainty(strategy.kind, ds, self.model)
+        for kind in kinds:
+            if kind is not None:
+                check_uncertainty(kind, ds, self.model)
 
 
 @dataclass(frozen=True)
@@ -367,7 +355,7 @@ def run_experiment(config: ExperimentConfig, seed: int) -> list[LearningCurve]:
     then the strategies move through the boundaries in lockstep, and each
     boundary grows all their committees in one call."""
     start = _seed_start(config, seed)
-    runs = [_curve(config, strategy, seed, start) for strategy in config.strategies]
+    runs = [_curve(config, label, seed, start) for label in config.strategies]
     out = [next(run) for run in runs]
     for update in range(1, config.n_updates + 1):
         fitted = _committees(config, seed, update, out)
@@ -376,13 +364,14 @@ def run_experiment(config: ExperimentConfig, seed: int) -> list[LearningCurve]:
 
 
 def _curve(
-    config: ExperimentConfig, strategy: Strategy, seed: int, start: _SeedStart
+    config: ExperimentConfig, label: str, seed: int, start: _SeedStart
 ) -> Generator[np.ndarray | LearningCurve, TreeEnsemble | None, None]:
-    """One strategy's run from the seed's split and first boundary. After
-    each update's picks it yields the labelled pool rows and is sent the
-    committee fitted on them (None for the kNN model); last, it yields the
-    curve."""
+    """The run of strategy ``label`` from the seed's split and first
+    boundary. After each update's picks it yields the labelled pool rows and
+    is sent the committee fitted on them (None for the kNN model); last, it
+    yields the curve."""
     ds = config.dataset
+    tag, kind, n_pca = parse_strategy(label)
     rng_select = np.random.default_rng([seed, _STREAM_SELECT])
     # The labelled set lives in preallocated buffers that picks append to in
     # place; selection reads views of their first n_lab rows.
@@ -397,7 +386,7 @@ def _curve(
     # Impurity scoring always needs class ids; for a numeric label the
     # distinct values over the whole dataset act as the classes.
     codes, n_classes = ds.class_codes
-    use_pca = strategy.pca_components > 0
+    use_pca = n_pca > 0
     pool_sq = start.pool_sq
     ensemble, value, test_nbrs = start.ensemble, start.value, start.test_nbrs
     # A model-uncertainty strategy scores the whole unlabelled pool once per
@@ -421,9 +410,9 @@ def _curve(
             q_sq, ref_sq = pool_sq[cands], pool_sq[lab]
         (scores,) = pool_scores(ref, codes[lab], n_classes, query, [config.dci], q_sq=q_sq, ref_sq=ref_sq)
         # dci-low takes the lowest score: argmax(-s) is argmin(s), ties included.
-        return -scores if strategy.tag == DCI_LOW else scores
+        return -scores if tag == DCI_LOW else scores
 
-    score = {RANDOM: None, MODEL_UNCERTAINTY: model_score}.get(strategy.tag, impurity_score)
+    score = {RANDOM: None, MODEL_UNCERTAINTY: model_score}.get(tag, impurity_score)
 
     points: list[tuple[int, float]] = []
     for update in range(config.n_updates + 1):
@@ -436,7 +425,7 @@ def _curve(
         points.append((n_lab, value))
         if update == config.n_updates:
             break
-        if strategy.tag == MODEL_UNCERTAINTY:
+        if kind is not None:
             neighbors = None
             if config.model.kind == "knn":
                 keep = np.searchsorted(unl_rows, unlabelled)
@@ -446,11 +435,11 @@ def _curve(
                 )
                 neighbors = unl_nbrs[0]
             unl_rows = unlabelled
-            unl_scores = UNCERTAINTY[strategy.kind](
+            unl_scores = UNCERTAINTY[kind](
                 _predict(config, ensemble, labelled[:n_lab], unl_rows, neighbors)
             )
         if use_pca:
-            n_comp = min(strategy.pca_components, n_lab, ds.n_features)
+            n_comp = min(n_pca, n_lab, ds.n_features)
             pca = pca_fit(lab_X[:n_lab], n_comp)
             proj = np.empty((n_final, n_comp))
             proj[:n_lab] = pca_project(pca, lab_X[:n_lab])
@@ -463,7 +452,7 @@ def _curve(
             n_lab += 1
             unlabelled = np.delete(unlabelled, np.searchsorted(unlabelled, pick))
 
-    yield LearningCurve(points=tuple(points), seed=seed, strategy=strategy.label, metric=config.metric)
+    yield LearningCurve(points=tuple(points), seed=seed, strategy=label, metric=config.metric)
 
 
 def run_many(config: ExperimentConfig, base_seed: int = 0, threads: int = 1) -> list[LearningCurve]:

@@ -31,7 +31,7 @@ from .active import (
     write_curves_csv,
     write_summary_csv,
 )
-from .config import PRESETS, Cfg, ConfigError, build, load_config, merge_config, parse_strategies
+from .config import PRESETS, Cfg, ConfigError, build, load_config, merge_config
 from .dataset import (
     DataError,
     Dataset,
@@ -153,7 +153,7 @@ def cmd_simulate(cfg: Cfg, out_dir: Path, seed: int, threads: int) -> None:
     ds, _ = prepare_dataset(cfg)
     exp = build(
         cfg, "experiment", dataset=ds, dci=build(cfg, "dci"), model=build(cfg, "model"),
-        strategies=parse_strategies(cfg),
+        strategies=cfg.list("strategies", "random,dci-high"),
     )
     for s in range(seed, seed + exp.n_seeds):
         if exp.metric == "auroc" and np.unique(ds.labels[seed_split(exp, s)[0]]).size < 2:
@@ -169,7 +169,7 @@ def cmd_simulate(cfg: Cfg, out_dir: Path, seed: int, threads: int) -> None:
         "seed": seed,
         "config": cfg.values,
         "dataset": {"rows": ds.n_rows, "columns": ds.n_features, "sha256": dataset_fingerprint(ds)},
-        "outputs": {s.label: {"curves": "curves.csv", "summary": "summary.csv"} for s in exp.strategies},
+        "outputs": {label: {"curves": "curves.csv", "summary": "summary.csv"} for label in exp.strategies},
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     (out_dir / "manifest.json").write_text(text, encoding="utf-8")

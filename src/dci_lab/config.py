@@ -13,11 +13,10 @@ type and default; the `data.*`, `score.*` and `analyze.*` keys and
 
 from __future__ import annotations
 
-import re
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-from .active import ExperimentConfig, Strategy
+from .active import ExperimentConfig
 from .dci import DciParams, GridSpec
 from .models import ModelConfig
 
@@ -291,28 +290,3 @@ def build(cfg: Cfg, section: str, **given):
         return cls(**given)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-_PCA_LABEL = re.compile(r"^(dci-high|dci-low)-pca([1-9]\d*)$")
-
-
-def parse_strategy(label: str) -> Strategy:
-    """Build a Strategy from its config label (the same string it reports)."""
-    try:
-        if label in ("random", "dci-high", "dci-low"):
-            return Strategy(tag=label)
-        m = _PCA_LABEL.match(label)
-        if m:
-            return Strategy(tag=m.group(1), pca_components=int(m.group(2)))
-        if label.startswith("uncertainty-"):
-            return Strategy(tag="model-uncertainty", kind=label[len("uncertainty-") :])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    raise ConfigError(
-        f"unknown strategy {label!r} (expected random, dci-high[-pcaN], "
-        f"dci-low[-pcaN], or uncertainty-<kind>)"
-    )
-
-
-def parse_strategies(cfg: Cfg) -> tuple[Strategy, ...]:
-    return tuple(parse_strategy(label) for label in cfg.list("strategies", "random,dci-high"))

@@ -13,6 +13,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -324,11 +325,15 @@ def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Iterable[o
 
     This is the byte format of every CSV the package writes: floats (Python
     or NumPy) with 9 significant digits and -0 as 0, every other value
-    through ``str``, a cell holding a comma, a double quote or a newline
+    through ``str``, a cell holding a comma, a double quote, a CR or an LF
     quoted, UTF-8 with LF line ends and a final newline.
     """
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        out = csv.writer(fh, lineterminator="\n")
+        # The writer quotes cells holding a character of its line end, so it
+        # ends rows with CRLF, which covers a lone CR, and each row, written
+        # in one call, is stored with LF.
+        lf_rows = SimpleNamespace(write=lambda row: fh.write(row[:-2] + "\n"))
+        out = csv.writer(lf_rows, lineterminator="\r\n")
         out.writerow(header)
         out.writerows(
             [format(v + 0.0, ".9g") if isinstance(v, (float, np.floating)) else str(v) for v in row]

@@ -18,25 +18,6 @@ class DecileReport(NamedTuple):
     accuracies: np.ndarray
 
 
-def _ranks_with_ties(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, equal values sharing their average rank.
-
-    Average ranks are integers or half-integers, so all sums downstream stay
-    exact in float64 at the sizes this package handles.
-    """
-    n = values.shape[0]
-    order = np.argsort(values, kind="stable")
-    s = values[order]
-    starts = np.r_[True, s[1:] != s[:-1]]
-    group = np.cumsum(starts) - 1
-    first = np.nonzero(starts)[0]
-    counts = np.diff(np.r_[first, n])
-    avg = first + (counts + 1) / 2.0
-    ranks = np.empty(n)
-    ranks[order] = avg[group]
-    return ranks
-
-
 def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Probability a random positive outscores a random negative, ties 0.5.
 
@@ -53,7 +34,10 @@ def auroc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("both classes must be present")
-    ranks = _ranks_with_ties(scores)
+    # 1-based ranks, equal scores sharing their average: integers or
+    # half-integers, so the sums below stay exact in float64.
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(counts) - (counts - 1) / 2)[group]
     rank_sum = ranks[labels == 1].sum()
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

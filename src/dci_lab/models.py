@@ -10,12 +10,12 @@ ensemble's per-member predictions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dataset import DataError, Dataset
-from .neighbors import knn
+from .neighbors import nearest_neighbors
 
 CLASSIFICATION = "classification"
 REGRESSION = "regression"
@@ -50,17 +50,6 @@ class ModelConfig:
             raise ValueError("knn_k must be at least 1")
 
 
-class _TreeView(NamedTuple):
-    """One member of an ensemble, cut from its node table and numbered from
-    its root at 0; ``left`` and ``right`` are -1 at leaves."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-
-
 @dataclass(frozen=True)
 class TreeEnsemble:
     """Every tree of a bagged ensemble in one node table; node t is the root
@@ -81,9 +70,18 @@ class TreeEnsemble:
     n_trees: int
     n_classes: int = 0
 
-    def _cut(self, size: int) -> list[tuple[np.ndarray, ...]]:
-        """The node tables of each run of ``size`` consecutive trees, each
-        kept in table order and numbered from 0, so its roots come first."""
+    # perfbench/tracer.py names this; it goes when the benchmark drops the name (ROADMAP item 2).
+    @property
+    def trees(self) -> tuple[TreeEnsemble, ...]:
+        """One one-tree ensemble per member, cut from the table on each access."""
+        return tuple(self.committees(self.n_trees))
+
+    def committees(self, count: int) -> list[TreeEnsemble]:
+        """The table cut into ``count`` committees of equally many
+        consecutive trees, as :func:`fit_ensemble` grows them from row lists.
+        Each keeps its nodes in table order, numbered from 0, so its roots
+        come first."""
+        size = self.n_trees // count
         owner = np.empty(self.feature.size, dtype=np.int64)
         nodes = np.arange(self.n_trees)
         owner[nodes] = nodes // size
@@ -91,28 +89,17 @@ class TreeEnsemble:
             nodes = nodes[self.feature[nodes] != _LEAF]
             owner[self.left[nodes]] = owner[self.right[nodes]] = owner[nodes]
             nodes = np.concatenate([self.left[nodes], self.right[nodes]])
-        counts = np.bincount(owner, minlength=self.n_trees // size)
+        counts = np.bincount(owner)
         order = np.argsort(owner, kind="stable")
         local = np.full(owner.size + 1, _LEAF)  # local[-1] maps _LEAF to itself
         local[order] = np.arange(owner.size) - np.repeat(np.cumsum(counts) - counts, counts)
         return [
-            (self.feature[nodes], self.threshold[nodes], local[self.left[nodes]], local[self.right[nodes]],
-             self.value[nodes])
+            TreeEnsemble(
+                self.feature[nodes], self.threshold[nodes], local[self.left[nodes]], local[self.right[nodes]],
+                self.value[nodes], task=self.task, n_features=self.n_features, n_trees=size,
+                n_classes=self.n_classes,
+            )
             for nodes in np.split(order, np.cumsum(counts)[:-1])
-        ]
-
-    @property
-    def trees(self) -> tuple[_TreeView, ...]:
-        """Per-tree views, cut from the table on each access."""
-        return tuple(_TreeView(*table) for table in self._cut(1))
-
-    def committees(self, count: int) -> list[TreeEnsemble]:
-        """The table cut into ``count`` committees of equally many
-        consecutive trees, as :func:`fit_ensemble` grows them from row lists."""
-        size = self.n_trees // count
-        return [
-            TreeEnsemble(*table, task=self.task, n_features=self.n_features, n_trees=size, n_classes=self.n_classes)
-            for table in self._cut(size)
         ]
 
 
@@ -498,17 +485,7 @@ def knn_from_labels(pool: Dataset, neighbor_labels: np.ndarray) -> np.ndarray:
     return neighbor_labels.mean(axis=1)
 
 
-def knn_predict(
-    pool: Dataset, query: np.ndarray, k: int
-) -> np.ndarray | float:
-    """Vote fractions (classification) or neighbour mean (regression).
-
-    ``query`` may be one vector or a batch; k is clamped to the pool size.
-    """
-    query = np.asarray(query, dtype=np.float64)
-    single = query.ndim == 1
-    nbrs = knn(pool, query[None, :] if single else query, k)
-    out = knn_from_labels(pool, nbrs.labels)
-    if not single:
-        return out
-    return out[0] if pool.is_classification else float(out[0])
+# perfbench/tracer.py names this; it goes when the benchmark drops the name (ROADMAP item 2).
+def knn_predict(pool: Dataset, queries: np.ndarray, k: int) -> np.ndarray:
+    """:func:`knn_from_labels` of a batch of queries' k nearest pool rows."""
+    return knn_from_labels(pool, pool.labels[nearest_neighbors(queries, pool.features, k)[0]])

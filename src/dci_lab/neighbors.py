@@ -17,8 +17,6 @@ n_reference array is ever formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dataset import DataError, Dataset
@@ -30,44 +28,6 @@ _CHUNK_ROWS = 256
 # Float64 elements per block of direct differences (256 KB): small enough
 # that the gathered rows stay in cache between subtraction and reduction.
 _PAIR_BLOCK = 32768
-
-
-@dataclass(frozen=True)
-class NeighborSet:
-    """Distances, labels and pool indices of each query's nearest points.
-
-    Arrays share shape (k,) for a single query or (n_queries, k) for a
-    batch. As produced by :func:`knn` each row is sorted by ascending
-    distance with ties broken by ascending pool index; the dataclass itself
-    does not require sortedness, so entry order may be permuted freely by
-    order-insensitive consumers.
-    """
-
-    distances: np.ndarray
-    labels: np.ndarray
-    indices: np.ndarray
-
-    def __post_init__(self) -> None:
-        dist = np.asarray(self.distances, dtype=np.float64)
-        labels = np.asarray(self.labels)
-        idx = np.asarray(self.indices, dtype=np.int64)
-        if dist.ndim not in (1, 2) or dist.shape != idx.shape or dist.shape != labels.shape:
-            raise ValueError("distances, labels and indices must share shape (k,) or (n, k)")
-        if dist.shape[-1] == 0:
-            raise ValueError("a NeighborSet must contain at least one entry")
-        for a in (dist, labels, idx):
-            a.flags.writeable = False
-        object.__setattr__(self, "distances", dist)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def k(self) -> int:
-        return self.distances.shape[-1]
-
-    @property
-    def is_batch(self) -> bool:
-        return self.distances.ndim == 2
 
 
 def _sq_norms(X: np.ndarray) -> np.ndarray:
@@ -90,6 +50,7 @@ def _check_shapes(queries: np.ndarray, reference: np.ndarray) -> None:
         raise ValueError("queries and reference must be 2-d with matching columns")
 
 
+# perfbench/tracer.py names this; it goes when the benchmark drops the name (ROADMAP item 2).
 def pairwise_sq_distances(queries: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances, shape (n_queries, n_reference).
 
@@ -219,9 +180,8 @@ def nearest_neighbors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(indices, distances) of the min(k, n_reference) nearest reference rows.
 
-    The raw matrix-level core behind :func:`knn`. Rows are ordered by
-    (distance, reference index), and distances are direct differences, so
-    coincident points are exactly 0.
+    Rows are ordered by (distance, reference index), and distances are
+    direct differences, so coincident points are exactly 0.
 
     Per chunk of queries the expansion filters: a reference row is a
     candidate when its expanded value is at most the query's k-th smallest
@@ -333,19 +293,7 @@ def extend_neighbors(
     return indices, sq_distances
 
 
-def knn(pool: Dataset, query: np.ndarray, k: int) -> NeighborSet:
-    """The min(k, pool size) nearest labelled points for each query.
-
-    ``query`` is one feature vector or a (n, d) batch; entries come back
-    sorted by distance, ties by ascending pool index.
-    """
-    query = np.asarray(query, dtype=np.float64)
-    single = query.ndim == 1
-    Q = query[None, :] if single else query
-    if Q.ndim != 2 or Q.shape[1] != pool.n_features:
-        raise ValueError(f"query must have {pool.n_features} features")
-    idx, dist = nearest_neighbors(Q, pool.features, k)
-    labels = pool.labels[idx]
-    if single:
-        idx, dist, labels = idx[0], dist[0], labels[0]
-    return NeighborSet(distances=dist, labels=labels, indices=idx)
+# perfbench/tracer.py names this; it goes when the benchmark drops the name (ROADMAP item 2).
+def knn(pool: Dataset, queries: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`nearest_neighbors` of a batch of queries among the pool's rows."""
+    return nearest_neighbors(queries, pool.features, k)

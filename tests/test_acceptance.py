@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from scipy.stats import binomtest, spearmanr
 
-from dci_lab.active import ExperimentConfig, Strategy, run_experiment
+from dci_lab.active import ExperimentConfig, run_experiment
 from dci_lab.cli import main
 from dci_lab.dataset import apply_standardization, one_hot, standardization_stats
 from dci_lab.dci import DciParams, GridSpec, dci_field, dci_scores
@@ -165,11 +165,7 @@ def test_04_field_trends_track_beta_and_alpha():
 def test_05_wine_selection_beats_random_and_low_score_selection():
     ds = wine_quality(1599, 5)
     ds = apply_standardization(ds, standardization_stats(ds, np.arange(1599)))
-    strategies = {
-        "high": Strategy(tag="dci-high"),
-        "random": Strategy(tag="random"),
-        "low": Strategy(tag="dci-low"),
-    }
+    strategies = {"high": "dci-high", "random": "random", "low": "dci-low"}
     # One experiment holds every strategy, as the CLI runs them: each seed
     # fits its first committee once and grows each boundary's committees
     # in one call.
@@ -207,11 +203,7 @@ def test_05_wine_selection_beats_random_and_low_score_selection():
 
 
 def test_06_census_selection_ordering_and_committee_agreement(census_pool):
-    strategies = {
-        "high": Strategy(tag="dci-high"),
-        "low": Strategy(tag="dci-low"),
-        "committee": Strategy(tag="model-uncertainty", kind="eq3_binary"),
-    }
+    strategies = {"high": "dci-high", "low": "dci-low", "committee": "uncertainty-eq3_binary"}
     config = ExperimentConfig(
         dataset=census_pool,
         strategies=tuple(strategies.values()),

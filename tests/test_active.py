@@ -12,8 +12,8 @@ from dci_lab.active import (
     ExperimentConfig,
     LearningCurve,
     ModelConfig,
-    Strategy,
     aggregate,
+    parse_strategy,
     run_experiment,
     run_many,
     select_next,
@@ -32,39 +32,43 @@ def two_blob_dataset(rng, n_per=40, gap=8.0):
 
 
 class TestStrategy:
+    """A strategy is its label; parse_strategy reads it as (tag, uncertainty
+    kind, PCA components)."""
+
     def test_pairing_rules(self):
-        Strategy(tag="random")
-        Strategy(tag="dci-high")
-        Strategy(tag="model-uncertainty", kind="max_prob")
-        with pytest.raises(ValueError):
-            Strategy(tag="greedy")
-        with pytest.raises(ValueError):
-            Strategy(tag="random", kind="max_prob")
-        with pytest.raises(ValueError):
-            Strategy(tag="model-uncertainty")
-        with pytest.raises(ValueError):
-            Strategy(tag="model-uncertainty", kind="entropy")
-        with pytest.raises(ValueError):
-            Strategy(tag="random", pca_components=3)
-        with pytest.raises(ValueError):
-            Strategy(tag="dci-high", pca_components=-1)
+        for label in [
+            "greedy",
+            "random-pca3",  # the PCA space applies to the impurity tags only
+            "dci-high-pca0",
+            "dci-high-pca-1",
+            "dci-high-pca01",
+            "dci-high-pca",
+            "random-max_prob",  # a kind belongs to the uncertainty tag only
+            "model-uncertainty",  # which needs one
+            "uncertainty-",
+            "uncertainty-entropy",
+            "DCI-HIGH",
+            " dci-high",
+        ]:
+            with pytest.raises(ValueError, match=f"unknown strategy {label!r}"):
+                parse_strategy(label)
 
     def test_labels(self):
-        assert Strategy(tag="random").label == "random"
-        assert Strategy(tag="dci-low").label == "dci-low"
-        assert (
-            Strategy(tag="model-uncertainty", kind="eq3_binary").label
-            == "uncertainty-eq3_binary"
-        )
-        pca = Strategy(tag="dci-high", pca_components=20)
-        assert pca.label == "dci-high-pca20"
+        # Every label form of the README's strategy table.
+        assert parse_strategy("random") == ("random", None, 0)
+        assert parse_strategy("dci-high") == ("dci-high", None, 0)
+        assert parse_strategy("dci-low") == ("dci-low", None, 0)
+        assert parse_strategy("dci-high-pca10") == ("dci-high", None, 10)
+        assert parse_strategy("dci-low-pca1") == ("dci-low", None, 1)
+        for kind in ("eq3_binary", "mean_std", "max_prob", "regression_std"):
+            assert parse_strategy(f"uncertainty-{kind}") == ("model-uncertainty", kind, 0)
 
 
 class TestExperimentConfigValidation:
     def base(self, rng, **kw):
         defaults = dict(
             dataset=two_blob_dataset(rng),
-            strategies=(Strategy(tag="random"),),
+            strategies=("random",),
             metric="accuracy",
             initial_train_size=10,
             additions_per_update=2,
@@ -98,47 +102,49 @@ class TestExperimentConfigValidation:
                 dataset=ds_reg,
                 metric="rmse",
                 test_size=5,
-                strategies=(Strategy(tag="model-uncertainty", kind="eq3_binary"),),
+                strategies=("uncertainty-eq3_binary",),
             )
         with pytest.raises(ValueError):
             self.base(
                 rng,
-                strategies=(Strategy(tag="model-uncertainty", kind="regression_std"),),
+                strategies=("uncertainty-regression_std",),
             )
         with pytest.raises(ValueError):
             self.base(
                 rng,
-                strategies=(Strategy(tag="model-uncertainty", kind="mean_std"),),
+                strategies=("uncertainty-mean_std",),
                 model=ModelConfig(kind="ensemble", n_trees=1),
             )
         with pytest.raises(ValueError):
             self.base(
                 rng,
-                strategies=(Strategy(tag="model-uncertainty", kind="eq3_binary"),),
+                strategies=("uncertainty-eq3_binary",),
                 model=ModelConfig(kind="knn"),
             )
         # max_prob works on the aggregate, so the knn fallback qualifies
         self.base(
             rng,
-            strategies=(Strategy(tag="model-uncertainty", kind="max_prob"),),
+            strategies=("uncertainty-max_prob",),
             model=ModelConfig(kind="knn"),
         )
         # Every strategy is checked, not only the first.
         with pytest.raises(ValueError):
             self.base(
                 rng,
-                strategies=(Strategy(tag="random"), Strategy(tag="model-uncertainty", kind="mean_std")),
+                strategies=("random", "uncertainty-mean_std"),
                 model=ModelConfig(kind="knn"),
             )
 
     def test_strategies_are_nonempty_with_unique_labels(self, rng):
-        high = Strategy(tag="dci-high")
+        high = "dci-high"
         with pytest.raises(ValueError, match="at least one"):
             self.base(rng, strategies=())
         with pytest.raises(ValueError, match="duplicates"):
-            self.base(rng, strategies=(high, Strategy(tag="random"), high))
-        config = self.base(rng, strategies=[Strategy(tag="random"), high])
-        assert config.strategies == (Strategy(tag="random"), high)
+            self.base(rng, strategies=(high, "random", high))
+        config = self.base(rng, strategies=["random", high])
+        assert config.strategies == ("random", high)
+        with pytest.raises(ValueError, match="unknown strategy 'dci-middle'"):
+            self.base(rng, strategies=("random", "dci-middle"))
 
 
 # Two labelled clusters on a line, pool rows 0-3; pool index 4 sits on the boundary.
@@ -206,7 +212,7 @@ class TestRunExperiment:
     def config(self, rng, **kw):
         defaults = dict(
             dataset=two_blob_dataset(rng),
-            strategies=(Strategy(tag="dci-high"),),
+            strategies=("dci-high",),
             model=ModelConfig(kind="knn", knn_k=3),
             dci=DciParams(k=5),
             metric="accuracy",
@@ -236,7 +242,7 @@ class TestRunExperiment:
     def test_different_seeds_differ(self, rng):
         # Overlapping blobs so accuracy actually varies with the split.
         config = self.config(
-            rng, dataset=two_blob_dataset(rng, gap=1.5), strategies=(Strategy(tag="random"),)
+            rng, dataset=two_blob_dataset(rng, gap=1.5), strategies=("random",)
         )
         curves = {run_experiment(config, seed=s)[0].points for s in range(6)}
         assert len(curves) > 1
@@ -246,17 +252,21 @@ class TestRunExperiment:
         assert curve.values[-1] >= 0.9  # two blobs 8 sigma apart
 
     def test_pca_feature_space_runs(self, rng):
-        strat = Strategy(tag="dci-high", pca_components=2)
-        (curve,) = run_experiment(self.config(rng, strategies=(strat,)), seed=2)
+        (curve,) = run_experiment(self.config(rng, strategies=("dci-high-pca2",)), seed=2)
         assert curve.strategy == "dci-high-pca2"
         assert len(curve.points) == 5
+
+    def test_curves_carry_the_config_labels(self, rng):
+        labels = ("dci-low-pca1", "random", "uncertainty-max_prob", "dci-high")
+        curves = run_experiment(self.config(rng, strategies=labels), seed=4)
+        assert tuple(c.strategy for c in curves) == labels
 
     def test_regression_with_committee_std(self, rng):
         X = rng.normal(size=(60, 2))
         ds = make_regression(X, X[:, 0] * 3.0 + rng.normal(size=60) * 0.1)
         config = ExperimentConfig(
             dataset=ds,
-            strategies=(Strategy(tag="model-uncertainty", kind="regression_std"),),
+            strategies=("uncertainty-regression_std",),
             model=ModelConfig(kind="ensemble", n_trees=5),
             metric="rmse",
             initial_train_size=10,
@@ -271,7 +281,7 @@ class TestRunExperiment:
     def test_auroc_metric_with_ensemble(self, rng):
         config = self.config(
             rng,
-            strategies=(Strategy(tag="model-uncertainty", kind="eq3_binary"),),
+            strategies=("uncertainty-eq3_binary",),
             model=ModelConfig(kind="ensemble", n_trees=4),
             metric="auroc",
             n_updates=1,
@@ -320,14 +330,7 @@ class TestKnnTestLists:
             dataset=make_classification(X, np.repeat([0, 1], 60)), strategies=(strategy,), **settings
         )
 
-    @pytest.mark.parametrize(
-        "strategy",
-        [
-            Strategy(tag="random"),
-            Strategy(tag="dci-high"),
-            Strategy(tag="model-uncertainty", kind="max_prob"),
-        ],
-    )
+    @pytest.mark.parametrize("strategy", ["random", "dci-high", "uncertainty-max_prob"])
     def test_class_pool_accuracy(self, rng, monkeypatch, strategy):
         config = self.blob_config(rng, strategy)
         for seed in (0, 1, 2):
@@ -338,7 +341,7 @@ class TestKnnTestLists:
         # searched afresh until they fill, then extended.
         config = self.blob_config(
             rng,
-            Strategy(tag="model-uncertainty", kind="max_prob"),
+            "uncertainty-max_prob",
             model=ModelConfig(kind="knn", knn_k=7),
             additions_per_update=4,
             n_updates=10,
@@ -365,10 +368,10 @@ class TestKnnTestLists:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(models, "knn_predict")
-        counted(models, "knn")
+        counted(models, "nearest_neighbors")
         counted(neighbors, "knn")
         counted(dci, "nearest_neighbors")
-        config = self.blob_config(rng, Strategy(tag="model-uncertainty", kind="max_prob"))
+        config = self.blob_config(rng, "uncertainty-max_prob")
         curves = [run_experiment(config, seed)[0].points for seed in (1, 2)]
         assert calls == []
         # The curves as the kNN model gave them when it searched per pick.
@@ -389,7 +392,7 @@ class TestKnnTestLists:
         ds = make_regression(X, X[:, 0] * 3.0 + rng.normal(size=150))
         config = ExperimentConfig(
             dataset=ds,
-            strategies=(Strategy(tag="dci-high"),),
+            strategies=("dci-high",),
             model=ModelConfig(kind="knn", knn_k=9),
             dci=DciParams(k=6),
             metric="rmse",
@@ -407,7 +410,7 @@ class TestRunMany:
         ds = two_blob_dataset(rng)
         config = ExperimentConfig(
             dataset=ds,
-            strategies=(Strategy(tag="random"),),
+            strategies=("random",),
             model=ModelConfig(kind="knn", knn_k=3),
             metric="accuracy",
             initial_train_size=5,
@@ -443,7 +446,7 @@ class TestRunMany:
         monkeypatch.setattr(active, "ProcessPoolExecutor", RecordingPool)
         config = ExperimentConfig(
             dataset=two_blob_dataset(rng),
-            strategies=(Strategy(tag="random"),),
+            strategies=("random",),
             model=ModelConfig(kind="knn", knn_k=3),
             metric="accuracy",
             initial_train_size=5,
@@ -460,14 +463,9 @@ class TestRunMany:
 
 def all_strategies_config(ds, model, **schedule):
     """One config with a strategy of each kind."""
-    strategies = [
-        Strategy(tag="random"),
-        Strategy(tag="dci-high"),
-        Strategy(tag="dci-low", pca_components=1),
-        Strategy(tag="model-uncertainty", kind="max_prob"),
-    ]
+    strategies = ["random", "dci-high", "dci-low-pca1", "uncertainty-max_prob"]
     if model.kind == "ensemble":
-        strategies.append(Strategy(tag="model-uncertainty", kind="eq3_binary"))
+        strategies.append("uncertainty-eq3_binary")
     return ExperimentConfig(dataset=ds, strategies=strategies, model=model, dci=DciParams(k=3), **schedule)
 
 
@@ -488,7 +486,7 @@ class TestSharedStart:
         per_seed = {seed: run_experiment(config, seed) for seed in (3, 4, 5)}
         assert together == [per_seed[seed][j] for j in range(len(config.strategies)) for seed in (3, 4, 5)]
         assert [(c.strategy, c.seed) for c in together] == [
-            (s.label, seed) for s in config.strategies for seed in (3, 4, 5)
+            (label, seed) for label in config.strategies for seed in (3, 4, 5)
         ]
 
     def test_first_committee_is_fitted_once_per_seed(self, rng, monkeypatch):
@@ -542,7 +540,7 @@ class TestWholePoolScores:
     def test_curves_equal_per_pick_scoring(self, rng, monkeypatch, kind, additions):
         config = ExperimentConfig(
             dataset=self.pool(rng, kind),
-            strategies=(Strategy(tag="model-uncertainty", kind=kind), Strategy(tag="random")),
+            strategies=(f"uncertainty-{kind}", "random"),
             model=ModelConfig(n_trees=10),
             metric="rmse" if kind == "regression_std" else "accuracy",
             initial_train_size=20,

@@ -18,8 +18,6 @@ from dci_lab.config import (
     load_config,
     merge_config,
     parse_config,
-    parse_strategies,
-    parse_strategy,
 )
 from dci_lab.models import ensemble_binary_uncertainty, fit_ensemble, predict
 
@@ -47,7 +45,7 @@ def build_experiment(cfg, ds):
     """The ExperimentConfig of ``cfg`` on the pool ``ds``, as cmd_simulate builds it."""
     return build(
         cfg, "experiment", dataset=ds, dci=build(cfg, "dci"), model=build(cfg, "model"),
-        strategies=parse_strategies(cfg),
+        strategies=cfg.list("strategies", "random,dci-high"),
     )
 
 
@@ -91,7 +89,7 @@ class TestMergeConfig:
             cfg = Cfg(dict(preset))
             ds, _ = prepare_dataset(cfg)
             exp = build_experiment(cfg, ds)
-            assert [s.label for s in exp.strategies] == cfg.list("strategies")
+            assert exp.strategies == tuple(cfg.list("strategies"))
             assert exp.n_seeds == int(preset["experiment.n_seeds"])
 
 
@@ -183,34 +181,39 @@ class TestBuilders:
 
 
 class TestStrategyLabels:
+    """Config files list strategy labels, which ExperimentConfig keeps as
+    given and checks with active.parse_strategy (tests/test_active.py); an
+    empty or repeated list is rejected there too, for library and CLI
+    callers alike."""
+
+    @staticmethod
+    def strategies(**given):
+        ds = prepare_dataset(Cfg({"data.name": "three-class", "data.n": "30"}))[0]
+        keys = {"experiment.metric": "accuracy", "experiment.initial_train_size": "5", "experiment.test_size": "5"}
+        return build_experiment(Cfg(dict(keys, **given)), ds).strategies
+
     def test_parse_individual_labels(self):
-        assert parse_strategy("random").tag == "random"
-        high = parse_strategy("dci-high")
-        assert (high.tag, high.pca_components) == ("dci-high", 0)
-        pca = parse_strategy("dci-low-pca12")
-        assert (pca.tag, pca.pca_components) == ("dci-low", 12)
-        unc = parse_strategy("uncertainty-mean_std")
-        assert (unc.tag, unc.kind) == ("model-uncertainty", "mean_std")
-        # labels round-trip: parsing a strategy's label reproduces it
-        for label in ("random", "dci-high", "dci-low-pca12", "uncertainty-mean_std"):
-            assert parse_strategy(label).label == label
+        labels = "dci-high , dci-low-pca12,random,uncertainty-max_prob"
+        assert self.strategies(strategies=labels) == ("dci-high", "dci-low-pca12", "random", "uncertainty-max_prob")
 
     @pytest.mark.parametrize(
-        "label", ["greedy", "uncertainty-entropy", "dci-high-pca", "dci-high-pca0"]
+        "label", ["greedy", "uncertainty-entropy", "dci-high-pca", "dci-high-pca0", "random-pca3", "DCI-HIGH"]
     )
     def test_rejects_unknown_labels(self, label):
-        with pytest.raises(ConfigError):
-            parse_strategy(label)
+        with pytest.raises(ConfigError, match=f"unknown strategy {label!r}"):
+            self.strategies(strategies=f"random,{label}")
 
     def test_strategy_list_rules(self):
-        # An empty or repeated list is rejected by ExperimentConfig, for
-        # library and CLI callers alike (tests/test_active.py, tests/test_cli.py).
-        strategies = parse_strategies(Cfg({"strategies": "dci-low, uncertainty-max_prob"}))
-        assert [s.label for s in strategies] == ["dci-low", "uncertainty-max_prob"]
-        assert [s.label for s in parse_strategies(Cfg({}))] == ["random", "dci-high"]
-        assert parse_strategies(Cfg({"strategies": " , "})) == ()
-        with pytest.raises(ConfigError):
-            parse_strategies(Cfg({"strategies": "random,greedy"}))
+        assert self.strategies(strategies="dci-low, uncertainty-max_prob") == ("dci-low", "uncertainty-max_prob")
+        assert self.strategies() == ("random", "dci-high")
+        with pytest.raises(ConfigError, match="at least one strategy"):
+            self.strategies(strategies=" , ")
+        with pytest.raises(ConfigError, match="duplicates"):
+            self.strategies(strategies="random,dci-low,random")
+        # A bad label is reported after the experiment.* keys are read.
+        ds = prepare_dataset(Cfg({"data.name": "three-class", "data.n": "30"}))[0]
+        with pytest.raises(ConfigError, match="missing required config key 'experiment.metric'"):
+            build_experiment(Cfg({"strategies": "greedy"}), ds)
 
 
 class TestAdultPreset:
@@ -239,7 +242,7 @@ class TestAdultPreset:
         exp = self.small()
 
         def curve(label):
-            return run_experiment(replace(exp, strategies=(parse_strategy(label),)), seed=0)[0].values
+            return run_experiment(replace(exp, strategies=(label,)), seed=0)[0].values
 
         uncertainty = curve("uncertainty-eq3_binary")
         assert uncertainty != curve("random")

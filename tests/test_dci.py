@@ -18,7 +18,7 @@ from dci_lab.dci import (
     pool_scores,
     write_field_csv,
 )
-from dci_lab.neighbors import _sq_norms, knn, nearest_neighbors
+from dci_lab.neighbors import _sq_norms, nearest_neighbors
 
 
 def naive_dci(labels, distances, n_classes, params):
@@ -269,8 +269,8 @@ class TestGrid:
         xs, ys = grid.axes()
         for iy in (0, 2, 4):
             for ix in (1, 3):
-                ns = knn(ds, np.array([xs[ix], ys[iy]]), 7)
-                assert field[iy, ix] == dci_scores(ns.labels[None], ns.distances[None], 2, params)[0]
+                idx, dist = nearest_neighbors(np.array([[xs[ix], ys[iy]]]), ds.features, 7)
+                assert field[iy, ix] == dci_scores(ds.labels[idx], dist, 2, params)[0]
 
     def test_field_clamps_k_to_pool(self, rng):
         ds = make_classification(rng.normal(size=(3, 2)), [0, 1, 0])

@@ -402,6 +402,18 @@ class TestCommittees:
         whole = fit_ensemble(ds, model, 9, rows=[np.arange(120)])
         assert np.array_equal(whole.value, fit_ensemble(ds, model, 9).value)
 
+    @pytest.mark.parametrize("task", [CLASSIFICATION, REGRESSION])
+    def test_each_tree_predicts_its_member(self, task):
+        ds = self.pool(task)
+        ensemble = fit_ensemble(ds, ModelConfig(n_trees=5, min_leaf=2), 3)
+        X = np.random.default_rng(4).normal(size=(50, ds.n_features))
+        per_member = predict(ensemble, X)
+        trees = ensemble.trees
+        assert [tree.n_trees for tree in trees] == [1] * 5
+        for t, tree in enumerate(trees):
+            assert (tree.task, tree.n_features, tree.n_classes) == (task, ds.n_features, ensemble.n_classes)
+            assert np.array_equal(predict(tree, X), per_member[t : t + 1])
+
     def test_empty_row_lists_are_rejected(self):
         ds = self.pool(CLASSIFICATION)
         for rows in ([], [np.arange(5), np.arange(0)]):
@@ -674,28 +686,28 @@ class TestKnnPredict:
         X = rng.normal(size=(15, 3))
         y = rng.integers(0, 4, size=15)
         ds = make_classification(X, y)
-        got = knn_predict(ds, X[6], 1)
-        want = np.zeros(4)
-        want[y[6]] = 1.0
+        got = knn_predict(ds, X[6:7], 1)
+        want = np.zeros((1, 4))
+        want[0, y[6]] = 1.0
         assert np.array_equal(got, want)
 
     def test_vote_fractions(self):
         X = np.array([[0.0], [0.1], [0.2], [0.3], [9.0]])
         y = np.array([0, 0, 1, 1, 1])
         ds = make_classification(X, y)
-        assert knn_predict(ds, np.array([0.05]), 4).tolist() == [0.5, 0.5]
+        assert knn_predict(ds, np.array([[0.05]]), 4).tolist() == [[0.5, 0.5]]
 
     def test_regression_neighbour_mean(self):
         ds = make_regression(np.array([[0.0], [1.0], [50.0]]), np.array([1.0, 3.0, 99.0]))
-        assert knn_predict(ds, np.array([0.4]), 2) == 2.0
+        assert knn_predict(ds, np.array([[0.4], [60.0]]), 2).tolist() == [2.0, 51.0]
 
     def test_k_clamped_to_pool_and_batch_matches_single(self, rng):
         X = rng.normal(size=(6, 2))
         y = rng.integers(0, 2, size=6)
         ds = make_classification(X, y)
-        full = knn_predict(ds, np.zeros(2), 50)
-        assert full == pytest.approx(np.bincount(y, minlength=2) / 6)
+        full = knn_predict(ds, np.zeros((1, 2)), 50)
+        assert full == pytest.approx(np.bincount(y, minlength=2)[None] / 6)
         queries = rng.normal(size=(4, 2))
         batch = knn_predict(ds, queries, 3)
         for i in range(4):
-            assert np.array_equal(batch[i], knn_predict(ds, queries[i], 3))
+            assert np.array_equal(batch[i : i + 1], knn_predict(ds, queries[i : i + 1], 3))

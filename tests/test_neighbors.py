@@ -13,7 +13,6 @@ from conftest import make_classification
 from dci_lab import neighbors
 from dci_lab.dataset import DataError
 from dci_lab.neighbors import (
-    NeighborSet,
     extend_neighbors,
     knn,
     nearest_neighbors,
@@ -386,46 +385,26 @@ class TestBoundSlack:
 class TestKnn:
     def test_returns_sorted_labelled_neighbours(self, rng):
         X = rng.normal(size=(30, 2))
-        y = rng.integers(0, 3, size=30)
-        ds = make_classification(X, y)
-        q = rng.normal(size=2)
-        ns = knn(ds, q, 5)
-        assert not ns.is_batch and ns.k == 5
-        want = np.argsort(cdist(q[None], X)[0], kind="stable")[:5]
-        assert ns.indices.tolist() == want.tolist()
-        assert ns.labels.tolist() == y[want].tolist()
+        ds = make_classification(X, rng.integers(0, 3, size=30))
+        Q = rng.normal(size=(3, 2))
+        idx, dist = knn(ds, Q, 5)
+        want = np.argsort(cdist(Q, X), axis=1, kind="stable")[:, :5]
+        assert idx.tolist() == want.tolist()
+        assert dist == pytest.approx(np.take_along_axis(cdist(Q, X), want, axis=1), rel=1e-12)
 
     def test_batch_shape_and_k_clamp(self, rng):
         ds = make_classification(rng.normal(size=(4, 2)), [0, 1, 0, 1])
-        ns = knn(ds, rng.normal(size=(6, 2)), 99)
-        assert ns.is_batch and ns.distances.shape == (6, 4)
+        idx, dist = knn(ds, rng.normal(size=(6, 2)), 99)
+        assert idx.shape == dist.shape == (6, 4)
 
     def test_query_validation(self, rng):
         ds = make_classification(rng.normal(size=(4, 2)), [0, 1, 0, 1])
         with pytest.raises(ValueError):
-            knn(ds, rng.normal(size=3), 2)
+            knn(ds, rng.normal(size=(2, 3)), 2)
+        with pytest.raises(ValueError):
+            knn(ds, rng.normal(size=2), 2)  # one query is a (1, d) batch
         with pytest.raises(ValueError):
             knn(ds, rng.normal(size=(2, 2)), 0)
-
-
-class TestNeighborSet:
-    def test_validation_and_immutability(self, rng):
-        ns = NeighborSet(
-            distances=np.array([0.5, 1.0]),
-            labels=np.array([1, 0]),
-            indices=np.array([3, 7]),
-        )
-        assert ns.k == 2
-        with pytest.raises(ValueError):
-            ns.distances[0] = 2.0
-        with pytest.raises(ValueError):
-            NeighborSet(
-                distances=np.array([0.5]), labels=np.array([1, 0]), indices=np.array([3])
-            )
-        with pytest.raises(ValueError):
-            NeighborSet(
-                distances=np.empty(0), labels=np.empty(0), indices=np.empty(0)
-            )
 
 
 class TestPrecomputedNorms:

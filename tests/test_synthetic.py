@@ -92,6 +92,23 @@ class TestCsvRoundTrip:
         assert np.array_equal(back.labels, ds.labels)
         assert (back.class_names, back.categories) == (ds.class_names, ds.categories)
 
+    def test_token_with_a_lone_carriage_return_is_quoted(self, tmp_path):
+        ds = Dataset(
+            features=np.array([[1.0, 0.0], [2.0, 1.0]]),
+            labels=np.array([0, 1]),
+            column_specs=(ColumnSpec("x", "numeric"), ColumnSpec("cat", "categorical"), ColumnSpec("y", "label_class")),
+            class_names=("p", "q"),
+            categories={"cat": ("a\rb", "c")},
+        )
+        csv_path, spec_path = tmp_path / "t.csv", tmp_path / "t.spec"
+        write_dataset_csv(ds, csv_path)
+        write_colspec(ds, spec_path)
+        assert csv_path.read_bytes() == b'x,cat,y\n1,"a\rb",p\n2,c,q\n'
+        back = load_csv(csv_path, read_colspec(spec_path))
+        assert np.array_equal(back.features, ds.features)
+        assert np.array_equal(back.labels, ds.labels)
+        assert (back.class_names, back.categories) == (ds.class_names, ds.categories)
+
     def test_census_survives_write_and_load(self, tmp_path):
         ds = census_income(40, seed=3)
         csv_path, spec_path = tmp_path / "t.csv", tmp_path / "t.spec"
